@@ -1,0 +1,52 @@
+"""Greedy certificates are frozen byte for byte.
+
+Each group of runs is reduced to one sha256 over every certificate's
+JSON and every step's (x, slot, potential_before, potential_after); the
+digests in golden/certificates.json were recorded before the greedy was
+rewritten around its residual state, and any refactor of the greedy
+must leave them unchanged.  A deliberate change to the certificate
+format has to re-record them and say so.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+import hyperind as hi
+from test_acceptance import _corpus_300
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden" / "certificates.json").read_text()
+)
+
+
+def _digest(runs) -> str:
+    sha = hashlib.sha256()
+    for label, cert in runs:
+        sha.update(f"{label}\n{cert.to_json()}\n".encode())
+        for s in cert.steps:
+            sha.update(
+                f"{s.x} {list(s.slot)} {hi.as_ratio(s.potential_before)} "
+                f"{hi.as_ratio(s.potential_after)}\n".encode()
+            )
+    return sha.hexdigest()
+
+
+def test_criterion_6_corpus_certificates_frozen():
+    runs = [
+        (f"{i}-r{r}-n{h.n}", hi.greedy_extract(h, r))
+        for i, (h, r) in enumerate(_corpus_300())
+    ]
+    assert _digest(runs) == GOLDEN["criterion6_safe"]
+
+
+def test_unsafe_linear_corpus_certificates_frozen(linear_corpus):
+    # includes the triangle-bearing cycles, the double-linearity
+    # violation and the seven-point plane
+    runs = [
+        (label, hi.greedy_extract(h, r, unsafe=True))
+        for label, h, r in linear_corpus
+    ]
+    assert _digest(runs) == GOLDEN["linear_unsafe"]
