@@ -18,7 +18,7 @@ print(hi.format_hg(h))
 # Each step removes a vertex x plus one slot of its neighborhood; the
 # recorded delta is the exact potential the step gave up.  Guaranteed
 # runs never take a negative step.
-cert = hi.greedy_extract(h, 3, debug=True)
+cert = hi.greedy_extract(h, 3)
 print("guarantee (potential):", cert.guarantee, "=", float(cert.guarantee))
 for s in cert.steps:
     print(f"  keep {s.x}, drop slot {list(s.slot)}, delta = {s.delta}")

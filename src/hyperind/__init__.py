@@ -45,7 +45,6 @@ from .bounds import (
     potential,
     potential_weight,
     shearer_s1,
-    shearer_s2,
     table_to_csv,
     table_to_json,
 )
@@ -54,7 +53,6 @@ from .algorithms import (
     ExtractionCertificate,
     Step,
     candidate_delta,
-    candidate_deltas,
     exact_alpha,
     greedy_extract,
     verify_independent,
@@ -105,14 +103,12 @@ __all__ = [
     "potential",
     "potential_weight",
     "shearer_s1",
-    "shearer_s2",
     "table_to_csv",
     "table_to_json",
     "AlphaResult",
     "ExtractionCertificate",
     "Step",
     "candidate_delta",
-    "candidate_deltas",
     "exact_alpha",
     "greedy_extract",
     "verify_independent",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import Hypergraph, remove, slot_partition
+from .core import Hypergraph, slot_partition
 from .errors import HypothesisViolated, InvalidSlot
 from .bounds import as_ratio, potential, potential_weight
 from .properties import has_uniformity, is_linear, is_triangle_free
@@ -28,7 +28,6 @@ __all__ = [
     "Step",
     "ExtractionCertificate",
     "candidate_delta",
-    "candidate_deltas",
     "greedy_extract",
     "AlphaResult",
     "exact_alpha",
@@ -79,98 +78,83 @@ class ExtractionCertificate:
         return json.dumps(payload, separators=(", ", ": "))
 
 
-def _scratch_delta(h: Hypergraph, r: int, x: int, slot: Iterable[int]) -> Fraction:
-    h2, _ = remove(h, set(slot) | {x})
-    return 1 + potential(h2, r) - potential(h, r)
+class _Residual:
+    """Live incident-edge sets in original vertex ids, plus a weight table."""
+
+    def __init__(self, h: Hypergraph, r: int):
+        self.edges = h.edges
+        self.r = r
+        self.inc = [set(h.incident_edges(v)) for v in range(h.n)]
+        top = max(map(len, self.inc), default=0)
+        self.w = [potential_weight(r, d) for d in range(top + 1)]
+
+    def slots(self, x: int) -> list[set[int]]:
+        # the j-th smallest vertex of each live edge through x (minus x)
+        # goes to slot j: slot_partition on r-uniform linear input, a
+        # best-effort split with short edges or overlaps
+        slots: list[set[int]] = [set() for _ in range(self.r - 1)]
+        for i in self.inc[x]:
+            rest = [v for v in self.edges[i] if v != x]
+            for j, v in enumerate(rest[: self.r - 1]):
+                slots[j].add(v)
+        return slots
+
+    def delta(self, x: int, rset: Iterable[int]) -> Fraction:
+        """1 + potential(H - S) - potential(H) for S = {x} | rset.
+
+        Each survivor loses the live edges meeting S that contain it, so
+        the value is exact on any hypergraph, linear or not.
+        """
+        s = {x, *rset}
+        w, inc = self.w, self.inc
+        drop: dict[int, int] = {}
+        for i in set().union(*(inc[v] for v in s)):
+            for z in self.edges[i]:
+                drop[z] = drop.get(z, 0) + 1
+        delta = 1 - sum(w[len(inc[v])] for v in s)
+        for z, c in drop.items():
+            if z not in s:
+                d = len(inc[z])
+                delta += w[d - c] - w[d]
+        return delta
+
+    def delete(self, s: Iterable[int]) -> None:
+        for i in set().union(*(self.inc[v] for v in s)):
+            for v in self.edges[i]:
+                self.inc[v].discard(i)
 
 
 def candidate_delta(h: Hypergraph, r: int, x: int, slot: Iterable[int]) -> Fraction:
     """Exact potential change of removing {x} union slot and keeping x.
 
     slot must be one of the slots of x (the empty set when x is
-    isolated); InvalidSlot is raised otherwise.  The value is computed
-    from scratch on the removed hypergraph, with no shortcut identities.
+    isolated); InvalidSlot is raised otherwise.  The value comes from
+    the degree drops the removal causes, which is exact on any input.
     """
     h._check_vertex(x)
     rset = frozenset(slot)
     for v in rset:
         h._check_vertex(v)
     if h.degree(x) == 0:
-        if rset:
-            raise InvalidSlot(
-                f"vertex {x} is isolated and admits only the empty pseudo-slot"
-            )
+        slots = (frozenset(),)  # the empty pseudo-slot
     else:
         slots = slot_partition(h, x, r).slots
-        if rset not in slots:
-            raise InvalidSlot(f"{sorted(rset)} is not a slot of vertex {x}")
-    return _scratch_delta(h, r, x, rset)
+    if rset not in slots:
+        raise InvalidSlot(f"{sorted(rset)} is not a slot of vertex {x}")
+    return _Residual(h, r).delta(x, rset)
 
 
-def candidate_deltas(
-    h: Hypergraph, r: int
-) -> list[tuple[int, int, frozenset[int], Fraction]]:
-    """All (x, slot index, slot, delta) candidates, from-scratch deltas.
-
-    Isolated vertices appear as pseudo-candidates with the empty slot.
-    Requires the hypotheses that make slot partitions well defined
-    (r-uniform, linear).
-    """
-    base = potential(h, r)
-    out = []
-    for x in range(h.n):
-        if h.degree(x) == 0:
-            h2, _ = remove(h, [x])
-            out.append((x, 0, frozenset(), 1 + potential(h2, r) - base))
-            continue
-        for j, rset in enumerate(slot_partition(h, x, r).slots):
-            h2, _ = remove(h, set(rset) | {x})
-            out.append((x, j, rset, 1 + potential(h2, r) - base))
-    return out
-
-
-def _delta_fast(h: Hypergraph, r: int, x: int, rset: frozenset[int]) -> Fraction:
-    # degree-drop identity: on linear triangle-free input a surviving
-    # vertex z loses exactly |N(z) & R| incident edges
-    delta = 1 - potential_weight(r, h.degree(x))
-    drop: dict[int, int] = {}
-    for y in rset:
-        delta -= potential_weight(r, h.degree(y))
-        for z in h.neighborhood(y):
-            drop[z] = drop.get(z, 0) + 1
-    for z, c in drop.items():
-        if z == x or z in rset:
-            continue
-        dz = h.degree(z)
-        delta += potential_weight(r, dz - c) - potential_weight(r, dz)
-    return delta
-
-
-def _lenient_slots(h: Hypergraph, x: int, r: int) -> list[frozenset[int]]:
-    # best-effort slots for overridden preconditions: j-th smallest
-    # remaining vertex of each incident edge lands in slot j, overlaps
-    # and short edges allowed
-    slots: list[set[int]] = [set() for _ in range(r - 1)]
-    for i in h.incident_edges(x):
-        rest = [v for v in h.edges[i] if v != x]
-        for j, v in enumerate(rest[: r - 1]):
-            slots[j].add(v)
-    return [frozenset(s) for s in slots]
-
-
-def greedy_extract(
-    h: Hypergraph, r: int, unsafe: bool = False, debug: bool = False
-) -> ExtractionCertificate:
+def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCertificate:
     """Extract an independent set with an exact step-by-step certificate.
 
     Preconditions (r-uniform, linear, triangle-free) are enforced unless
-    unsafe=True; overriding them keeps the extractor running with
-    best-effort slots and from-scratch deltas, but the certificate is
-    marked guaranteed=False and deltas may go negative.
+    unsafe=True.  The override only skips that check and marks the
+    certificate guaranteed=False: the extractor runs the same way, with
+    best-effort slots where edges are short or overlap, and its deltas
+    stay exact but may go negative.
 
     Ties are broken by smallest vertex id, then smallest slot index, so
-    the output is deterministic.  With debug=True the incremental delta
-    of every candidate is cross-checked against the from-scratch value.
+    the output is deterministic.
 
     Raises HypothesisViolated when a precondition fails (and unsafe is
     not set).
@@ -187,53 +171,29 @@ def greedy_extract(
             raise HypothesisViolated(
                 f"input has a triangle (vertices {twit['vertices']})"
             )
-    cur = h
-    orig = list(range(h.n))
+    res = _Residual(h, r)
+    alive = list(range(h.n))
     pot = guarantee
-    chosen: list[int] = []
     steps: list[Step] = []
-    while cur.n > 0:
-        if debug and not unsafe:
-            # residual closure: removals keep every precondition intact
-            assert has_uniformity(cur, r)
-            assert is_linear(cur)[0] and is_triangle_free(cur)[0]
-        iso = next((u for u in range(cur.n) if cur.degree(u) == 0), None)
+    while alive:
+        iso = next((u for u in alive if not res.inc[u]), None)
         if iso is not None:
-            after = pot - 1  # weight of an isolated vertex is exactly 1
-            steps.append(Step(orig[iso], (), pot, after))
-            chosen.append(orig[iso])
-            cur, mapping = remove(cur, [iso])
-            orig = [orig[old] for old in sorted(mapping)]
-            pot = after
-            continue
-        best: Optional[tuple[Fraction, int, int, frozenset[int]]] = None
-        base = potential(cur, r) if unsafe else None
-        for x in range(cur.n):
-            if unsafe:
-                slots = _lenient_slots(cur, x, r)
-            else:
-                slots = slot_partition(cur, x, r).slots
-            for j, rset in enumerate(slots):
-                if unsafe:
-                    h2, _ = remove(cur, set(rset) | {x})
-                    delta = 1 + potential(h2, r) - base
-                else:
-                    delta = _delta_fast(cur, r, x, rset)
-                    if debug:
-                        assert delta == _scratch_delta(cur, r, x, rset)
-                if best is None or delta > best[0]:
-                    best = (delta, x, j, rset)
-        delta, x, _, rset = best
+            # the weight of an isolated vertex is exactly 1
+            delta, x, rset = Fraction(0), iso, set()
+        else:
+            # max keeps the first maximum in (x, slot index) order
+            delta, x, rset = max(
+                ((res.delta(x, s), x, s) for x in alive for s in res.slots(x)),
+                key=lambda cand: cand[0],
+            )
         after = pot + delta - 1
-        steps.append(
-            Step(orig[x], tuple(sorted(orig[v] for v in rset)), pot, after)
-        )
-        chosen.append(orig[x])
-        cur, mapping = remove(cur, set(rset) | {x})
-        orig = [orig[old] for old in sorted(mapping)]
+        steps.append(Step(x, tuple(sorted(rset)), pot, after))
+        gone = rset | {x}
+        res.delete(gone)
+        alive = [v for v in alive if v not in gone]
         pot = after
     return ExtractionCertificate(
-        independent_set=tuple(sorted(chosen)),
+        independent_set=tuple(sorted(s.x for s in steps)),
         guarantee=guarantee,
         steps=tuple(steps),
         guaranteed=not unsafe,

@@ -6,8 +6,8 @@ Four families of per-vertex weight functions are provided:
   degree sequence (``potential``) is the guarantee attained by the
   greedy extractor for r-uniform linear triangle-free input.
 * ``caro_tuza`` -- the classical product-form weight, for comparison.
-* ``shearer_s1`` / ``shearer_s2`` -- the two graph (r = 2) bounds;
-  ``potential_weight`` at r = 2 reduces exactly to ``shearer_s2``.
+* ``shearer_s1`` -- the closed-form graph (r = 2) bound; at r = 2
+  ``potential_weight`` is the exact graph recurrence, which dominates it.
 * ``li_zang`` / ``chishti`` -- integral-form bounds evaluated by
   adaptive Gauss-Legendre quadrature with certified tolerance.
 
@@ -43,7 +43,6 @@ __all__ = [
     "potential_weight",
     "caro_tuza",
     "shearer_s1",
-    "shearer_s2",
     "convexity_minorant",
     "li_zang",
     "chishti",
@@ -77,7 +76,6 @@ def _check_d(d: int) -> None:
 
 _WEIGHT_CACHE: dict[int, list[Fraction]] = {}
 _CT_CACHE: dict[int, list[Fraction]] = {}
-_S2_CACHE: list[Fraction] = [Fraction(1)]
 
 
 def potential_weight(r: int, d: int) -> Fraction:
@@ -113,19 +111,6 @@ def caro_tuza(r: int, d: int) -> Fraction:
         k = len(vals)
         vals.append(vals[-1] * ((r - 1) * k) / ((r - 1) * k + 1))
     return vals[d]
-
-
-def shearer_s2(d: int) -> Fraction:
-    """Graph bound from the difference equation, exact.
-
-    (d+1) f(d) = 1 + (d - d^2)(f(d) - f(d-1)) with f(0) = 1, rearranged
-    to f(d) = (1 + (d^2 - d) f(d-1)) / (1 + d^2).
-    """
-    _check_d(d)
-    while len(_S2_CACHE) <= d:
-        k = len(_S2_CACHE)
-        _S2_CACHE.append((1 + (k * k - k) * _S2_CACHE[-1]) / (1 + k * k))
-    return _S2_CACHE[d]
 
 
 def shearer_s1(d: Real) -> float:

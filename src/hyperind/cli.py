@@ -21,7 +21,6 @@ from .bounds import (
     bound_table,
     caro_tuza_total,
     chishti_bound,
-    potential,
     table_to_csv,
     table_to_json,
 )
@@ -147,7 +146,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     h = _load(args.file)
     cert = greedy_extract(h, args.r)  # enforces the hypotheses
-    pot = potential(h, args.r)
+    pot = cert.guarantee
     ct = caro_tuza_total(h, args.r)
     cz = chishti_bound(h, args.r, tol=args.tol)
     if h.n <= 30 or args.budget is not None:

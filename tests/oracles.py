@@ -4,20 +4,24 @@ Everything here deliberately avoids the code paths of the package: the
 quadrature oracles use a fixed-panel composite midpoint rule instead of
 adaptive Gauss-Legendre, the alpha oracle enumerates all 2^n subsets
 instead of branch-and-bound, the predicate oracles use cubic brute-force
-loops instead of pair-map lookups, and the recurrence oracles iterate in
-high-precision floating point instead of exact rationals.  Agreement
-between such different routes is the point.
+loops instead of pair-map lookups, the recurrence oracles iterate in
+high-precision floating point instead of exact rationals (the graph
+recurrence, which must match exactly, solves its own difference
+equation), and the reference greedy recounts every degree and every
+potential from plain edge lists at every step.  Agreement between such
+different routes is the point.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import mpmath as mp
 import numpy as np
 
-from hyperind import Hypergraph
+from hyperind import Hypergraph, Step
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +108,18 @@ def mp_shearer_s1(d, dps: int = 60):
         return (x * mp.log(x) - x + 1) / (x - 1) ** 2
 
 
+def shearer_s2_sequence(d_max: int) -> list[Fraction]:
+    """Exact graph recurrence f(0..d_max) from its difference equation.
+
+    (d+1) f(d) = 1 + (d - d^2)(f(d) - f(d-1)) with f(0) = 1, solved for
+    f(d) at each step.
+    """
+    out = [Fraction(1)]
+    for d in range(1, d_max + 1):
+        out.append((1 + (d * d - d) * out[-1]) / (1 + d * d))
+    return out
+
+
 def mp_li_zang(r: int, m: int, x, dps: int = 30):
     """tanh-sinh quadrature of the substituted integrand, mpmath beta."""
     with mp.workdps(dps):
@@ -177,3 +193,68 @@ def brute_triangle_free(h: Hypergraph) -> bool:
                         if c != a and c != b:
                             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference greedy: everything recounted from plain edge lists
+# ---------------------------------------------------------------------------
+
+
+def reference_greedy(h: Hypergraph, r: int) -> tuple[Step, ...]:
+    """The certified greedy's steps, re-derived from scratch at every step.
+
+    Takes the smallest isolated vertex when there is one; otherwise the
+    first (x, slot index) candidate, in that order, whose exact delta
+    1 + potential(H - S) - potential(H), S = {x} u slot, is largest.
+    Slot j of x holds the j-th smallest vertex of each edge through x
+    (minus x).  Degrees, weights and potentials are recomputed from the
+    live edge list for every candidate, and after each step the
+    residual must still be r-uniform, linear and triangle-free.
+    """
+    weights = [Fraction(1)]
+
+    def weight(d: int) -> Fraction:
+        while len(weights) <= d:
+            k = len(weights)
+            c = (r - 1) * k * k
+            weights.append((1 + (c - k) * weights[-1]) / (1 + c))
+        return weights[d]
+
+    def phi(verts: set, edges: list) -> Fraction:
+        return sum(
+            (weight(sum(1 for e in edges if v in e)) for v in verts), Fraction(0)
+        )
+
+    verts = set(range(h.n))
+    edges = [frozenset(e) for e in h.edges]
+    steps = []
+    while verts:
+        before = phi(verts, edges)
+        isolated = [v for v in sorted(verts) if not any(v in e for e in edges)]
+        if isolated:
+            x, slot = isolated[0], ()
+            after = phi(verts - {x}, edges)
+        else:
+            best = None
+            for x in sorted(verts):
+                slots = [set() for _ in range(r - 1)]
+                for e in edges:
+                    if x in e:
+                        for j, v in enumerate(sorted(e - {x})):
+                            slots[j].add(v)
+                for rset in slots:
+                    gone = rset | {x}
+                    rest = [e for e in edges if not e & gone]
+                    delta = 1 + phi(verts - gone, rest) - before
+                    if best is None or delta > best[0]:
+                        best = (delta, x, tuple(sorted(rset)))
+            delta, x, slot = best
+            after = before + delta - 1
+        steps.append(Step(x, slot, before, after))
+        gone = set(slot) | {x}
+        verts -= gone
+        edges = [e for e in edges if not e & gone]
+        residual = Hypergraph(h.n, edges)
+        assert all(len(e) == r for e in edges)
+        assert brute_linear(residual) and brute_triangle_free(residual)
+    return tuple(steps)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 
 import hyperind as hi
 from hyperind.errors import HypothesisViolated, InvalidSlot, InvalidVertex
-from oracles import enumerate_alpha
+from oracles import enumerate_alpha, reference_greedy
 from strategies import instances
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
@@ -48,8 +48,19 @@ def test_candidate_delta_bad_slots():
         hi.candidate_delta(LOOSE, 3, 9, {0, 3})
 
 
+def _candidates(h, r):
+    """(x, slot index, slot, delta) for every slot of every vertex;
+    an isolated vertex yields the empty pseudo-slot."""
+    out = []
+    for x in range(h.n):
+        slots = hi.slot_partition(h, x, r).slots if h.degree(x) else (frozenset(),)
+        for j, rset in enumerate(slots):
+            out.append((x, j, rset, hi.candidate_delta(h, r, x, rset)))
+    return out
+
+
 def test_candidate_deltas_loose_path():
-    cands = hi.candidate_deltas(LOOSE, 3)
+    cands = _candidates(LOOSE, 3)
     assert len(cands) == 10  # five vertices, two slots each
     deltas = [delta for _, _, _, delta in cands]
     assert max(deltas) == Fraction(7, 9)
@@ -64,7 +75,7 @@ def test_candidate_deltas_loose_path():
 @given(instances(n_max=16))
 def test_max_candidate_delta_non_negative(hr):
     h, r = hr
-    cands = hi.candidate_deltas(h, r)
+    cands = _candidates(h, r)
     assert cands  # every vertex yields at least a pseudo-candidate
     assert max(d for _, _, _, d in cands) >= 0
 
@@ -152,9 +163,11 @@ def test_greedy_deterministic():
 
 @settings(max_examples=25, deadline=None)
 @given(instances(n_max=18))
-def test_greedy_debug_cross_checks(hr):
+def test_greedy_matches_reference_oracle(hr):
     h, r = hr
-    cert = hi.greedy_extract(h, r, debug=True)  # scratch-delta + closure asserts
+    cert = hi.greedy_extract(h, r)
+    # the oracle recounts everything per step and asserts residual closure
+    assert cert.steps == reference_greedy(h, r)
     ok, _ = hi.verify_independent(h, cert.independent_set)
     assert ok
     assert len(cert.independent_set) >= math.ceil(cert.guarantee - Fraction(1, 10**9))

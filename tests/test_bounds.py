@@ -23,6 +23,7 @@ from oracles import (
     mp_li_zang,
     mp_shearer_s1,
     mp_weight_sequence,
+    shearer_s2_sequence,
 )
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
@@ -85,11 +86,10 @@ def test_caro_tuza_gamma_identity():
 
 
 def test_shearer_s2_values():
-    assert hi.shearer_s2(0) == 1
-    assert hi.shearer_s2(1) == Fraction(1, 2)
-    assert hi.shearer_s2(2) == Fraction(2, 5)
+    s2 = shearer_s2_sequence(300)
+    assert s2[:3] == [1, Fraction(1, 2), Fraction(2, 5)]
     for d in range(301):
-        assert hi.shearer_s2(d) == hi.potential_weight(2, d)
+        assert hi.potential_weight(2, d) == s2[d]
 
 
 def test_shearer_s1_values():
@@ -129,7 +129,7 @@ def test_domain_errors():
         with pytest.raises(NegativeDegree):
             fn(3, -1)
     with pytest.raises(NegativeDegree):
-        hi.shearer_s2(-2)
+        hi.potential_weight(2, -2)
 
 
 # --- quadrature -------------------------------------------------------------
