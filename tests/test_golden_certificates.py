@@ -3,8 +3,9 @@
 Each group of runs is reduced to one sha256 over every certificate's
 JSON and every step's (x, slot, potential_before, potential_after); the
 digests in golden/certificates.json were recorded before the greedy was
-rewritten around its residual state, and any refactor of the greedy
-must leave them unchanged.  A deliberate change to the certificate
+rewritten around its residual state (large_safe: before it scored
+candidates as scaled integers), and any refactor of the greedy must
+leave them unchanged.  A deliberate change to the certificate
 format has to re-record them and say so.
 """
 
@@ -50,3 +51,21 @@ def test_unsafe_linear_corpus_certificates_frozen(linear_corpus):
         for label, h, r in linear_corpus
     ]
     assert _digest(runs) == GOLDEN["linear_unsafe"]
+
+
+def _first_complete(n: int, r: int) -> hi.Hypergraph:
+    for seed in range(100):
+        h, complete = hi.generate(hi.InstanceSpec("random", n=n, r=r, m=n, seed=seed))
+        if complete:
+            return h
+    raise AssertionError(f"no complete random instance at n={n}, r={r}")
+
+
+def test_large_instance_certificates_frozen():
+    # the largest frozen runs: hundreds of steps over weights whose
+    # denominators run to dozens of digits
+    runs = [
+        (f"random-r{r}-n{n}", hi.greedy_extract(_first_complete(n, r), r))
+        for n, r in ((800, 3), (400, 4))
+    ]
+    assert _digest(runs) == GOLDEN["large_safe"]
