@@ -15,6 +15,7 @@ Every step is recorded so the guarantee can be re-audited offline.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -79,43 +80,57 @@ class ExtractionCertificate:
 
 
 class _Residual:
-    """Live incident-edge sets in original vertex ids, plus a weight table."""
+    """Live incident-edge sets in original vertex ids, plus a weight table.
+
+    The weights w(0..max degree) are scaled by L, the lcm of their
+    denominators, so W[d] = w(d) * L is an int and delta returns the
+    exact step delta times L as an int; only a chosen step's delta
+    becomes a Fraction.
+    """
 
     def __init__(self, h: Hypergraph, r: int):
         self.edges = h.edges
         self.r = r
         self.inc = [set(h.incident_edges(v)) for v in range(h.n)]
         top = max(map(len, self.inc), default=0)
-        self.w = [potential_weight(r, d) for d in range(top + 1)]
+        w = [potential_weight(r, d) for d in range(top + 1)]
+        self.scale = math.lcm(*(f.denominator for f in w))
+        self.W = [f.numerator * (self.scale // f.denominator) for f in w]
 
     def slots(self, x: int) -> list[set[int]]:
-        # the j-th smallest vertex of each live edge through x (minus x)
-        # goes to slot j: slot_partition on r-uniform linear input, a
-        # best-effort split with short edges or overlaps
+        """Slots of x that each meet every live edge through x.
+
+        The j-th smallest vertex of each live edge through x (minus x)
+        goes to slot j, and the last one fills the slots a short edge
+        leaves over: slot_partition on r-uniform linear input.  A vertex
+        on a live one-vertex edge has no slots, so it is never kept.
+        """
         slots: list[set[int]] = [set() for _ in range(self.r - 1)]
         for i in self.inc[x]:
             rest = [v for v in self.edges[i] if v != x]
-            for j, v in enumerate(rest[: self.r - 1]):
-                slots[j].add(v)
+            if not rest:
+                return []
+            for j, slot in enumerate(slots):
+                slot.add(rest[min(j, len(rest) - 1)])
         return slots
 
-    def delta(self, x: int, rset: Iterable[int]) -> Fraction:
-        """1 + potential(H - S) - potential(H) for S = {x} | rset.
+    def delta(self, x: int, rset: Iterable[int]) -> int:
+        """L * (1 + potential(H - S) - potential(H)) for S = {x} | rset.
 
         Each survivor loses the live edges meeting S that contain it, so
         the value is exact on any hypergraph, linear or not.
         """
         s = {x, *rset}
-        w, inc = self.w, self.inc
+        W, inc = self.W, self.inc
         drop: dict[int, int] = {}
         for i in set().union(*(inc[v] for v in s)):
             for z in self.edges[i]:
                 drop[z] = drop.get(z, 0) + 1
-        delta = 1 - sum(w[len(inc[v])] for v in s)
+        delta = self.scale - sum(W[len(inc[v])] for v in s)
         for z, c in drop.items():
             if z not in s:
                 d = len(inc[z])
-                delta += w[d - c] - w[d]
+                delta += W[d - c] - W[d]
         return delta
 
     def delete(self, s: Iterable[int]) -> None:
@@ -141,7 +156,8 @@ def candidate_delta(h: Hypergraph, r: int, x: int, slot: Iterable[int]) -> Fract
         slots = slot_partition(h, x, r).slots
     if rset not in slots:
         raise InvalidSlot(f"{sorted(rset)} is not a slot of vertex {x}")
-    return _Residual(h, r).delta(x, rset)
+    res = _Residual(h, r)
+    return Fraction(res.delta(x, rset), res.scale)
 
 
 def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCertificate:
@@ -149,9 +165,11 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
 
     Preconditions (r-uniform, linear, triangle-free) are enforced unless
     unsafe=True.  The override only skips that check and marks the
-    certificate guaranteed=False: the extractor runs the same way, with
-    best-effort slots where edges are short or overlap, and its deltas
-    stay exact but may go negative.
+    certificate guaranteed=False: the extractor runs the same way, and
+    its deltas stay exact but may go negative.  Every slot still meets
+    every live edge through the kept vertex, so the result stays
+    independent; a vertex on a one-vertex edge is never kept, and the
+    run stops when no remaining vertex is isolated or has a slot.
 
     Ties are broken by smallest vertex id, then smallest slot index, so
     the output is deterministic.
@@ -175,18 +193,22 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
     alive = list(range(h.n))
     pot = guarantee
     steps: list[Step] = []
-    while alive:
+    while True:
         iso = next((u for u in alive if not res.inc[u]), None)
         if iso is not None:
             # the weight of an isolated vertex is exactly 1
-            delta, x, rset = Fraction(0), iso, set()
+            best = (0, iso, set())
         else:
             # max keeps the first maximum in (x, slot index) order
-            delta, x, rset = max(
+            best = max(
                 ((res.delta(x, s), x, s) for x in alive for s in res.slots(x)),
                 key=lambda cand: cand[0],
+                default=None,
             )
-        after = pot + delta - 1
+            if best is None:
+                break
+        delta, x, rset = best
+        after = pot + Fraction(delta, res.scale) - 1
         steps.append(Step(x, tuple(sorted(rset)), pot, after))
         gone = rset | {x}
         res.delete(gone)

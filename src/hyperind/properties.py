@@ -152,13 +152,15 @@ def neighborhood_max_degree(h: Hypergraph) -> int:
     best = 0
     for u in range(h.n):
         s = h.neighborhood(u)
-        if not s:
-            continue
         count: dict[int, int] = {}
-        for e in h.edges:
-            if all(w in s for w in e):
-                for z in e:
-                    count[z] = count.get(z, 0) + 1
+        # an edge inside N(u) goes through some w in N(u); it is counted
+        # once, from its smallest vertex
+        for w in s:
+            for i in h.incident_edges(w):
+                e = h.edges[i]
+                if e[0] == w and all(v in s for v in e):
+                    for z in e:
+                        count[z] = count.get(z, 0) + 1
         if count:
             best = max(best, max(count.values()))
     return best

@@ -4,12 +4,13 @@ Everything here deliberately avoids the code paths of the package: the
 quadrature oracles use a fixed-panel composite midpoint rule instead of
 adaptive Gauss-Legendre, the alpha oracle enumerates all 2^n subsets
 instead of branch-and-bound, the predicate oracles use cubic brute-force
-loops instead of pair-map lookups, the recurrence oracles iterate in
-high-precision floating point instead of exact rationals (the graph
-recurrence, which must match exactly, solves its own difference
-equation), and the reference greedy recounts every degree and every
-potential from plain edge lists at every step.  Agreement between such
-different routes is the point.
+loops instead of pair-map lookups and test every edge against every
+neighborhood instead of only the edges near it, the recurrence oracles
+iterate in high-precision floating point instead of exact rationals
+(the graph recurrence, which must match exactly, solves its own
+difference equation), and the reference greedy recounts every degree
+and every potential from plain edge lists at every step.  Agreement
+between such different routes is the point.
 """
 
 from __future__ import annotations
@@ -193,6 +194,23 @@ def brute_triangle_free(h: Hypergraph) -> bool:
                         if c != a and c != b:
                             return False
     return True
+
+
+def brute_nbhd_max_degree(h: Hypergraph) -> int:
+    """Tests every edge against every vertex neighborhood."""
+    best = 0
+    for u in range(h.n):
+        s = h.neighborhood(u)
+        if not s:
+            continue
+        count: dict[int, int] = {}
+        for e in h.edges:
+            if all(w in s for w in e):
+                for z in e:
+                    count[z] = count.get(z, 0) + 1
+        if count:
+            best = max(best, max(count.values()))
+    return best
 
 
 # ---------------------------------------------------------------------------

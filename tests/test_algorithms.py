@@ -7,12 +7,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import hyperind as hi
 from hyperind.errors import HypothesisViolated, InvalidSlot, InvalidVertex
 from oracles import enumerate_alpha, reference_greedy
-from strategies import instances
+from strategies import instances, raw_hypergraphs
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
 SINGLE = hi.Hypergraph(3, [(0, 1, 2)])
@@ -154,6 +154,27 @@ def test_greedy_unsafe_override():
     assert not loose_unsafe.guaranteed
     assert loose_unsafe.independent_set == safe.independent_set
     assert loose_unsafe.steps == safe.steps
+
+
+def test_greedy_unsafe_short_and_one_vertex_edges():
+    # the kept 0 takes slot (2,): the short edge's last vertex fills the
+    # slots it leaves over, so 4 cannot be kept with 0 and 2
+    h = hi.Hypergraph(6, [(0, 2, 4)])
+    cert = hi.greedy_extract(h, 4, unsafe=True)
+    assert cert.independent_set == (0, 1, 3, 4, 5)
+    assert hi.verify_independent(h, cert.independent_set) == (True, None)
+    # 0 lies on a one-vertex edge, so it is never kept
+    h = hi.Hypergraph(3, [(0,), (1, 2)])
+    cert = hi.greedy_extract(h, 2, unsafe=True)
+    assert cert.independent_set == (1,)
+    assert [(s.x, s.slot) for s in cert.steps] == [(1, (2,))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_hypergraphs(), st.sampled_from((2, 3, 4)))
+def test_greedy_unsafe_result_is_independent(h, r):
+    cert = hi.greedy_extract(h, r, unsafe=True)
+    assert hi.verify_independent(h, cert.independent_set) == (True, None)
 
 
 def test_greedy_deterministic():

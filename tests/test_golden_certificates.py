@@ -62,8 +62,7 @@ def _first_complete(n: int, r: int) -> hi.Hypergraph:
 
 
 def test_large_instance_certificates_frozen():
-    # the largest frozen runs: hundreds of steps over weights whose
-    # denominators run to dozens of digits
+    # the largest frozen runs, with hundreds of steps each
     runs = [
         (f"random-r{r}-n{n}", hi.greedy_extract(_first_complete(n, r), r))
         for n, r in ((800, 3), (400, 4))

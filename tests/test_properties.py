@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperind as hi
 from hyperind.errors import NotLinear
-from oracles import brute_linear, brute_triangle_free
+from oracles import brute_linear, brute_nbhd_max_degree, brute_triangle_free
 from strategies import raw_hypergraphs
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
@@ -129,6 +129,13 @@ def test_neighborhood_max_degree():
     # N(0) = {1,2,3,4} contains the single edge {1,2,3} once
     h = hi.Hypergraph(5, [(0, 1, 2), (0, 3, 4), (1, 2, 3)])
     assert hi.neighborhood_max_degree(h) == 1
+
+
+@settings(max_examples=200)
+@given(raw_hypergraphs(max_n=9, max_m=12))
+def test_neighborhood_max_degree_matches_oracle(h):
+    # mixed sizes and overlapping edges, so non-linear input too
+    assert hi.neighborhood_max_degree(h) == brute_nbhd_max_degree(h)
 
 
 def test_fano_line_inside_neighborhood():
