@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from .core import Hypergraph, slot_partition
 from .errors import HypothesisViolated, InvalidSlot
@@ -82,17 +82,21 @@ class ExtractionCertificate:
 class _Residual:
     """Live incident-edge sets in original vertex ids, plus a weight table.
 
-    The weights w(0..max degree) are scaled by L, the lcm of their
-    denominators, so W[d] = w(d) * L is an int and delta returns the
-    exact step delta times L as an int; only a chosen step's delta
-    becomes a Fraction.
+    Only the given vertices get an edge set (the others hold None): the
+    greedy passes all of them, candidate_delta only those within one
+    edge of the candidate.  The weights w(0..max degree) are scaled by
+    L, the lcm of their denominators, so W[d] = w(d) * L is an int and
+    delta returns the exact step delta times L as an int; only a chosen
+    step's delta becomes a Fraction.
     """
 
-    def __init__(self, h: Hypergraph, r: int):
+    def __init__(self, h: Hypergraph, r: int, vertices: Collection[int]):
         self.edges = h.edges
         self.r = r
-        self.inc = [set(h.incident_edges(v)) for v in range(h.n)]
-        top = max(map(len, self.inc), default=0)
+        self.inc: list[Optional[set[int]]] = [None] * h.n
+        for v in vertices:
+            self.inc[v] = set(h.incident_edges(v))
+        top = max((len(self.inc[v]) for v in vertices), default=0)
         w = [potential_weight(r, d) for d in range(top + 1)]
         self.scale = math.lcm(*(f.denominator for f in w))
         self.W = [f.numerator * (self.scale // f.denominator) for f in w]
@@ -156,7 +160,11 @@ def candidate_delta(h: Hypergraph, r: int, x: int, slot: Iterable[int]) -> Fract
         slots = slot_partition(h, x, r).slots
     if rset not in slots:
         raise InvalidSlot(f"{sorted(rset)} is not a slot of vertex {x}")
-    res = _Residual(h, r)
+    # delta reads the degrees of S = {x} | slot and of the vertices
+    # sharing an edge with S, and nothing else
+    s = {x, *rset}
+    near = s.union(*(h.edges[i] for v in s for i in h.incident_edges(v)))
+    res = _Residual(h, r, near)
     return Fraction(res.delta(x, rset), res.scale)
 
 
@@ -189,7 +197,7 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
             raise HypothesisViolated(
                 f"input has a triangle (vertices {twit['vertices']})"
             )
-    res = _Residual(h, r)
+    res = _Residual(h, r, range(h.n))
     alive = list(range(h.n))
     pot = guarantee
     steps: list[Step] = []
@@ -240,68 +248,80 @@ class AlphaResult:
 def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     """Branch-and-bound independence number.
 
-    Branches include/exclude on the highest-degree undecided vertex of a
-    smallest endangered edge (an edge with no excluded vertex yet),
-    pruning with the trivial upper bound |included| + |undecided|.  When
-    every edge already has an excluded vertex, all undecided vertices
-    are taken at once.  Exploration is exclude-first so a good incumbent
-    appears on the first descent; with a node budget the search stops
-    early and flags the result inexact.
+    A node holds the undecided and included vertices and the live edges,
+    those with no excluded vertex yet, as bitmasks.  It branches
+    include/exclude on the highest-degree undecided vertex of a smallest
+    live edge, degrees counting live edges only.  While it scans its
+    live edges in index order it packs those whose undecided parts are
+    pairwise disjoint; each packed edge forces one more exclusion, so a
+    node is pruned when |included| + |undecided| - packed <= best.  Such
+    a subtree cannot beat the incumbent, so the bound saves nodes without
+    changing which sets become incumbents.  When no edge is live, all
+    undecided vertices are taken at once.  Exploration is exclude-first
+    so a good incumbent appears on the first descent; with a node budget
+    the search stops early and flags the result inexact.
     """
     n = h.n
-    full = (1 << n) - 1
-    edge_masks = [sum(1 << v for v in e) for e in h.edges]
+    edge_masks = []
+    vmask = [0] * n  # vertex -> mask of the indexes of its edges
+    for i, e in enumerate(h.edges):
+        em = 0
+        for v in e:
+            em |= 1 << v
+            vmask[v] |= 1 << i
+        edge_masks.append(em)
     best = 0
     best_mask = 0
     nodes = 0
     exact = True
-    stack: list[tuple[int, int]] = [(full, 0)] if n else []
+    stack: list[tuple[int, int, int]] = (
+        [((1 << n) - 1, 0, (1 << len(edge_masks)) - 1)] if n else []
+    )
     while stack:
         nodes += 1
         if budget is not None and nodes > budget:
             exact = False
             break
-        und, inc = stack.pop()
-        if (und | inc).bit_count() <= best:
+        und, inc, live = stack.pop()
+        cand = und | inc
+        room = cand.bit_count() - best
+        if room <= 0:
             continue
-        exc = full & ~(und | inc)
+        if not live:  # every edge has an excluded vertex: take all of cand
+            best, best_mask = best + room, cand
+            continue
         pick_eu = 0
         pick_sz = n + 1
-        infeasible = False
-        all_hit = True
-        for em in edge_masks:
-            if em & exc:
-                continue
-            all_hit = False
-            eu = em & und
+        packed = 0
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            eu = edge_masks[low.bit_length() - 1] & und
+            if not eu & packed:
+                # disjoint from the packing: one more forced exclusion,
+                # or no way out at all when the edge lies inside inc
+                packed |= eu
+                room = room - 1 if eu else 0
+                if room <= 0:
+                    break
             sz = eu.bit_count()
-            if sz == 0:
-                infeasible = True
-                break
             if sz < pick_sz:
                 pick_sz, pick_eu = sz, eu
-        if infeasible:
-            continue
-        if all_hit:
-            cand = und | inc
-            c = cand.bit_count()
-            if c > best:
-                best, best_mask = c, cand
+        if room <= 0:
             continue
         v_pick, v_deg = -1, -1
         mm = pick_eu
         while mm:
             low = mm & -mm
             v = low.bit_length() - 1
-            deg = sum(
-                1 for em in edge_masks if not (em & exc) and (em >> v) & 1
-            )
+            deg = (vmask[v] & live).bit_count()
             if deg > v_deg:
                 v_deg, v_pick = deg, v
             mm ^= low
         bit = 1 << v_pick
-        stack.append((und & ~bit, inc | bit))  # include, explored second
-        stack.append((und & ~bit, inc))  # exclude, explored first
+        stack.append((und & ~bit, inc | bit, live))  # include, explored second
+        stack.append((und & ~bit, inc, live & ~vmask[v_pick]))  # exclude, first
     witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
     return AlphaResult(alpha=best, independent_set=witness, exact=exact, nodes=nodes)
 

@@ -13,6 +13,7 @@ import hyperind as hi
 from hyperind.errors import HypothesisViolated, InvalidSlot, InvalidVertex
 from oracles import enumerate_alpha, reference_greedy
 from strategies import instances, raw_hypergraphs
+from test_golden_certificates import first_complete
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
 SINGLE = hi.Hypergraph(3, [(0, 1, 2)])
@@ -69,6 +70,17 @@ def test_candidate_deltas_loose_path():
     by_key = {(x, j): delta for x, j, _, delta in cands}
     assert by_key[(2, 0)] == Fraction(-2, 9)
     assert by_key[(0, 1)] == Fraction(7, 9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(n_max=16), st.data())
+def test_candidate_delta_is_potential_change(hr, data):
+    # candidate_delta looks only near the candidate; the definition
+    # needs the potential of the whole graph before and after
+    h, r = hr
+    x, _, rset, delta = data.draw(st.sampled_from(_candidates(h, r)))
+    rest, _ = hi.remove(h, {x, *rset})
+    assert delta == 1 + hi.potential(rest, r) - hi.potential(h, r)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,6 +254,25 @@ def test_exact_alpha_matches_enumeration(hr):
     assert res.alpha == enumerate_alpha(h)
     ok, _ = hi.verify_independent(h, res.independent_set)
     assert ok and len(res.independent_set) == res.alpha
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_hypergraphs())
+def test_exact_alpha_matches_enumeration_on_arbitrary_input(h):
+    # the packing bound must hold for mixed sizes and one-vertex edges too
+    res = hi.exact_alpha(h)
+    assert res.exact
+    assert res.alpha == enumerate_alpha(h)
+    ok, _ = hi.verify_independent(h, res.independent_set)
+    assert ok and len(res.independent_set) == res.alpha
+
+
+def test_exact_alpha_node_count_n50():
+    # a node count repeats exactly, so this guards the bound without timing;
+    # the trivial bound |included| + |undecided| alone needs 455,539 nodes
+    res = hi.exact_alpha(first_complete(50, 3))
+    assert res.exact
+    assert res.nodes <= 2000
 
 
 # --- verification -----------------------------------------------------------

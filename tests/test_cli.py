@@ -231,7 +231,7 @@ def test_compare_rejects_fano(fano_file, capsys):
 
 
 def test_compare_budget_marks_lower_bound(loose_file, capsys):
-    _, out, _ = run(["compare", loose_file, "--r", "3", "--budget", "3"], capsys)
+    _, out, _ = run(["compare", loose_file, "--r", "3", "--budget", "1"], capsys)
     assert "exact=>=" in out
 
 

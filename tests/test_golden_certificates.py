@@ -53,9 +53,10 @@ def test_unsafe_linear_corpus_certificates_frozen(linear_corpus):
     assert _digest(runs) == GOLDEN["linear_unsafe"]
 
 
-def _first_complete(n: int, r: int) -> hi.Hypergraph:
-    for seed in range(100):
-        h, complete = hi.generate(hi.InstanceSpec("random", n=n, r=r, m=n, seed=seed))
+def first_complete(n: int, r: int, seed: int = 0) -> hi.Hypergraph:
+    """The first complete random instance with m = n at seed or after it."""
+    for s in range(seed, seed + 100):
+        h, complete = hi.generate(hi.InstanceSpec("random", n=n, r=r, m=n, seed=s))
         if complete:
             return h
     raise AssertionError(f"no complete random instance at n={n}, r={r}")
@@ -64,7 +65,7 @@ def _first_complete(n: int, r: int) -> hi.Hypergraph:
 def test_large_instance_certificates_frozen():
     # the largest frozen runs, with hundreds of steps each
     runs = [
-        (f"random-r{r}-n{n}", hi.greedy_extract(_first_complete(n, r), r))
+        (f"random-r{r}-n{n}", hi.greedy_extract(first_complete(n, r), r))
         for n, r in ((800, 3), (400, 4))
     ]
     assert _digest(runs) == GOLDEN["large_safe"]

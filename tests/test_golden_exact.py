@@ -15,20 +15,13 @@ import json
 from pathlib import Path
 
 import hyperind as hi
+from test_golden_certificates import first_complete
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "exact.json").read_text())
 
-# (n, first seed): the first complete random r=3 instance with m = n at
-# that seed or after it, as in the benchmark's exact corpus
+# (n, seed) of the benchmark's exact corpus: the first complete random
+# r=3 instance with m = n at that seed or after it
 EXACT_CORPUS = [(40, 5), (40, 1), (40, 0), (44, 2), (44, 1), (46, 1)]
-
-
-def first_complete(n: int, r: int, seed: int = 0) -> hi.Hypergraph:
-    for s in range(seed, seed + 100):
-        h, complete = hi.generate(hi.InstanceSpec("random", n=n, r=r, m=n, seed=s))
-        if complete:
-            return h
-    raise AssertionError(f"no complete random instance at n={n}, r={r}")
 
 
 def test_exact_witnesses_frozen(small_corpus):
