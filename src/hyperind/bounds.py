@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import heapq
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -217,6 +216,11 @@ def _check_x(x: Real) -> float:
     return xf
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 def _check_kernel(kernel: str) -> bool:
     if kernel not in ("corrected", "printed"):
         raise ValueError(f"kernel must be 'corrected' or 'printed', got {kernel!r}")
@@ -244,8 +248,7 @@ def li_zang(
     _check_r(r)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     corrected = _check_kernel(kernel)
     xf = _check_x(x)
     if not corrected and xf > 2 * m:
@@ -279,8 +282,7 @@ def chishti(r: int, x: Real, tol: float = 1e-9, kernel: str = "corrected") -> fl
     |result - true value| <= tol on success.
     """
     _check_r(r)
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    _check_tol(tol)
     corrected = _check_kernel(kernel)
     xf = _check_x(x)
     if not corrected and (r - 1) * xf - 1.0 > 1.0:
@@ -378,41 +380,24 @@ def bound_table(
     tol: float = 1e-9,
     max_workers: int = 1,
 ) -> list[TableRow]:
-    """Evaluate all four bounds at d = 0..d_max.
+    """Evaluate all four bounds at d = 0..d_max, one row per degree.
 
-    The two quadrature columns may be evaluated concurrently with
-    max_workers threads; rows are assembled by index so the result is
-    bit-identical to the sequential one.
+    max_workers is accepted for compatibility and has no effect: rows
+    are computed on the calling thread, since a two-thread pool was
+    measured slower than one thread.
     """
     _check_r(r)
     _check_d(d_max)
-    # prime shared caches so worker threads only read
-    potential_weight(r, d_max)
-    caro_tuza(r, d_max)
-    _leggauss(7)
-    _leggauss(15)
-    ds = list(range(d_max + 1))
-
-    def quad_pair(d: int) -> tuple[float, float]:
-        return li_zang(r, m, d, tol), chishti(r, d, tol)
-
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=min(max_workers, len(ds))) as pool:
-            pairs = list(pool.map(quad_pair, ds))
-    else:
-        pairs = [quad_pair(d) for d in ds]
-    rows = []
-    for d, (lz, cz) in zip(ds, pairs):
-        rows.append(
-            TableRow(
-                d=d,
-                f_lz=BoundValue("f_LZ", r, d, lz, tol),
-                f_czpi=BoundValue("f_CZPI", r, d, cz, tol),
-                f_ct=BoundValue("f_CT", r, d, caro_tuza(r, d)),
-                f_r=BoundValue("f_r", r, d, potential_weight(r, d)),
-            )
+    return [
+        TableRow(
+            d=d,
+            f_lz=BoundValue("f_LZ", r, d, li_zang(r, m, d, tol), tol),
+            f_czpi=BoundValue("f_CZPI", r, d, chishti(r, d, tol), tol),
+            f_ct=BoundValue("f_CT", r, d, caro_tuza(r, d)),
+            f_r=BoundValue("f_r", r, d, potential_weight(r, d)),
         )
-    return rows
+        for d in range(d_max + 1)
+    ]
 
 
 def table_to_csv(rows: list[TableRow]) -> str:

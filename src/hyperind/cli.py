@@ -3,15 +3,14 @@
 Subcommands: check, bounds-table, extract, exact, gen, compare.  Exit
 codes: 0 success, 1 semantic negative (predicate fails, certificate not
 guaranteed, inexact search, underfilled generation), 2 usage or parse
-errors.  Output is byte-deterministic for fixed inputs; HYPERIND_THREADS
-caps internal parallelism without changing any output byte.
+errors, including an output path that cannot be written.  Output is
+byte-deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -57,22 +56,19 @@ def _load(path: str):
         raise _Fail(2, f"cannot read {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _Fail(2, f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, output: str) -> None:
     if output == "-":
         sys.stdout.write(text)
     else:
-        with open(output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("HYPERIND_THREADS", "")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise _Fail(2, f"HYPERIND_THREADS must be an integer, got {raw!r}") from exc
+        _write(output, text)
 
 
 def cmd_check(args: argparse.Namespace) -> int:
@@ -83,13 +79,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_table(args: argparse.Namespace) -> int:
-    rows = bound_table(
-        args.r,
-        args.d_max,
-        m=args.m,
-        tol=args.tol,
-        max_workers=_threads_from_env(),
-    )
+    rows = bound_table(args.r, args.d_max, m=args.m, tol=args.tol)
     if args.format == "csv":
         text = table_to_csv(rows)
     else:
@@ -131,8 +121,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             "m": h.m,
             "complete": complete,
         }
-        with open(args.output + ".json", "w", encoding="utf-8", newline="") as fh:
-            fh.write(json.dumps(sidecar, separators=(", ", ": ")) + "\n")
+        sidecar_text = json.dumps(sidecar, separators=(", ", ": ")) + "\n"
+        _write(args.output + ".json", sidecar_text)
     if not complete:
         print(
             f"warning: reached only {h.m} of {args.m} edges before the "

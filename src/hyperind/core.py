@@ -1,4 +1,4 @@
-"""Finite hypergraphs on integer vertices, slot partitions, and the .hg text format.
+"""Hypergraphs on integer vertices, their pair index, slot partitions, the .hg format.
 
 A hypergraph has vertex set {0, ..., n-1} and a family of edges, each a set
 of vertices.  Edges are canonicalized on construction: vertices within an
@@ -9,8 +9,9 @@ operation returns a new object.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
 from typing import Iterable
 
 from .errors import (
@@ -26,6 +27,7 @@ from .errors import (
 
 __all__ = [
     "Hypergraph",
+    "PairIndex",
     "SlotPartition",
     "remove",
     "slot_partition",
@@ -36,8 +38,29 @@ __all__ = [
 ]
 
 
+class PairIndex:
+    """Vertex pairs a < b mapped to the edges containing them, and neighbourhoods.
+
+    edges_of[(a, b)] lists edge indexes in the order added (an uncovered
+    pair has no entry); nbrs[v] holds every vertex sharing an edge with v.
+    """
+
+    __slots__ = ("edges_of", "nbrs")
+
+    def __init__(self, n: int):
+        self.edges_of: dict[tuple[int, int], list[int]] = {}
+        self.nbrs: list[set[int]] = [set() for _ in range(n)]
+
+    def add(self, i: int, e: tuple[int, ...]) -> None:
+        """Record edge i, whose vertices e are ascending."""
+        for a, b in combinations(e, 2):
+            self.edges_of.setdefault((a, b), []).append(i)
+            self.nbrs[a].add(b)
+            self.nbrs[b].add(a)
+
+
 class Hypergraph:
-    """Immutable hypergraph with precomputed incidence and adjacency.
+    """Immutable hypergraph: incidence built eagerly, the pair index on first use.
 
     Parameters
     ----------
@@ -50,7 +73,7 @@ class Hypergraph:
     EmptyEdge : some edge contains no vertices
     """
 
-    __slots__ = ("n", "edges", "_incident", "_nbrs")
+    __slots__ = ("n", "edges", "_incident", "_pairs")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
@@ -67,15 +90,11 @@ class Hypergraph:
         self.n = n
         self.edges: tuple[tuple[int, ...], ...] = tuple(sorted(canon))
         incident: list[list[int]] = [[] for _ in range(n)]
-        nbrs: list[set[int]] = [set() for _ in range(n)]
         for i, e in enumerate(self.edges):
             for v in e:
                 incident[v].append(i)
-                for w in e:
-                    if w != v:
-                        nbrs[v].add(w)
         self._incident = tuple(tuple(ix) for ix in incident)
-        self._nbrs = tuple(frozenset(s) for s in nbrs)
+        self._pairs: PairIndex | None = None
 
     @property
     def m(self) -> int:
@@ -96,10 +115,21 @@ class Hypergraph:
         self._check_vertex(u)
         return self._incident[u]
 
+    def pair_index(self) -> PairIndex:
+        """The PairIndex of .edges with frozenset neighbourhoods; cached, read-only."""
+        if self._pairs is None:
+            index = PairIndex(self.n)
+            for i, e in enumerate(self.edges):
+                index.add(i, e)
+            for v, s in enumerate(index.nbrs):
+                index.nbrs[v] = frozenset(s)  # one at a time: one copy of each
+            self._pairs = index
+        return self._pairs
+
     def neighborhood(self, u: int) -> frozenset[int]:
         """All vertices sharing an edge with u, excluding u itself."""
         self._check_vertex(u)
-        return self._nbrs[u]
+        return self.pair_index().nbrs[u]
 
     def average_degree(self) -> Fraction:
         """Mean vertex degree, exact.

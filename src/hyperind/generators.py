@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 
-from .core import Hypergraph
+from .core import Hypergraph, PairIndex
 from .errors import BadSpec
 
 __all__ = [
@@ -128,47 +129,37 @@ def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     rng = SplitMix64(spec.seed)
     total = comb(n, r)
     edges: list[tuple[int, ...]] = []
-    pair_edge: dict[tuple[int, int], int] = {}
-    adj: dict[int, set[int]] = {v: set() for v in range(n)}
+    index = PairIndex(n)
     rejections = 0
     cap = 50 * m_target
     while len(edges) < m_target and rejections < cap:
         e = _unrank_subset(rng.next() % total, n, r)
-        if _accepts(e, pair_edge, adj):
-            idx = len(edges)
+        if _accepts(e, index):
+            index.add(len(edges), e)
             edges.append(e)
-            for i in range(r):
-                for j in range(i + 1, r):
-                    pair_edge[(e[i], e[j])] = idx
-                    adj[e[i]].add(e[j])
-                    adj[e[j]].add(e[i])
             rejections = 0
         else:
             rejections += 1
     return Hypergraph(n, edges), len(edges) == m_target
 
 
-def _accepts(
-    e: tuple[int, ...],
-    pair_edge: dict[tuple[int, int], int],
-    adj: dict[int, set[int]],
-) -> bool:
+def _accepts(e: tuple[int, ...], index: PairIndex) -> bool:
+    """Whether adding e keeps the indexed (linear) edge set linear and triangle-free."""
+    edges_of, nbrs = index.edges_of, index.nbrs
+    pairs = list(combinations(e, 2))
     # linearity: no pair of the candidate may already be covered (this
     # also rejects duplicate edges)
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            if (e[i], e[j]) in pair_edge:
-                return False
+    if any(pair in edges_of for pair in pairs):
+        return False
     # triangle-freeness: the candidate would host the pair {a, b} of a
-    # triangle whose other two pairs lie in two distinct existing edges
-    for i in range(len(e)):
-        for j in range(i + 1, len(e)):
-            a, b = e[i], e[j]
-            for c in adj[a] & adj[b]:
-                ea = pair_edge[(min(a, c), max(a, c))]
-                eb = pair_edge[(min(b, c), max(b, c))]
-                if ea != eb:
-                    return False
+    # triangle whose other two pairs lie in two distinct existing edges;
+    # on linear input each covered pair lies in exactly one edge
+    for a, b in pairs:
+        for c in nbrs[a] & nbrs[b]:
+            ea = edges_of[(min(a, c), max(a, c))]
+            eb = edges_of[(min(b, c), max(b, c))]
+            if ea != eb:
+                return False
     return True
 
 

@@ -51,28 +51,19 @@ def has_uniformity(h: Hypergraph, r: int) -> bool:
 def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check that any two edges share at most one vertex.
 
-    Returns (True, None) or (False, (i, j)) where edges i and j share
-    at least two vertices.
+    Returns (True, None) or (False, (i, j)) where edges i < j share at
+    least two vertices: j is the first edge that repeats a pair, i the
+    edge it repeats at its smallest such pair.
     """
-    pair_edge: dict[tuple[int, int], int] = {}
-    for i, e in enumerate(h.edges):
-        for a_pos in range(len(e)):
-            for b_pos in range(a_pos + 1, len(e)):
-                pair = (e[a_pos], e[b_pos])
-                j = pair_edge.get(pair)
-                if j is not None:
-                    return False, (j, i)
-                pair_edge[pair] = i
-    return True, None
-
-
-def _pair_edges(h: Hypergraph) -> dict[tuple[int, int], list[int]]:
-    out: dict[tuple[int, int], list[int]] = {}
-    for i, e in enumerate(h.edges):
-        for a_pos in range(len(e)):
-            for b_pos in range(a_pos + 1, len(e)):
-                out.setdefault((e[a_pos], e[b_pos]), []).append(i)
-    return out
+    repeats = [
+        (ix[1], pair, ix[0])
+        for pair, ix in h.pair_index().edges_of.items()
+        if len(ix) > 1
+    ]
+    if not repeats:
+        return True, None
+    j, _, i = min(repeats)
+    return False, (i, j)
 
 
 def is_triangle_free(
@@ -88,9 +79,10 @@ def is_triangle_free(
     Returns (True, None) or (False, witness) with witness keys
     "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes.
     """
-    pair_edges = _pair_edges(h)
+    index = h.pair_index()
+    pair_edges, nbrs = index.edges_of, index.nbrs
     for (a, b) in sorted(pair_edges):
-        common = sorted(h.neighborhood(a) & h.neighborhood(b))
+        common = sorted(nbrs[a] & nbrs[b])
         for c in common:
             if c <= b:
                 # triple {a,b,c} is handled at its two smallest vertices
@@ -127,15 +119,16 @@ def is_double_linear(
     ok, _ = is_linear(h)
     if not ok:
         raise NotLinear("double linearity is only defined for linear input")
+    nbrs = h.pair_index().nbrs
     for i, e in enumerate(h.edges):
         count: dict[int, int] = {}
         for w in e:
-            for v in h.neighborhood(w):
+            for v in nbrs[w]:
                 count[v] = count.get(v, 0) + 1
         for v in sorted(count):
             if count[v] < 2:
                 continue
-            nv = h.neighborhood(v)
+            nv = nbrs[v]
             for u in e:
                 if u != v and u not in nv:
                     return False, (u, v, i)
@@ -150,8 +143,9 @@ def neighborhood_max_degree(h: Hypergraph) -> int:
     z.  Returns 0 when no edge fits inside any neighborhood.
     """
     best = 0
+    nbrs = h.pair_index().nbrs
     for u in range(h.n):
-        s = h.neighborhood(u)
+        s = nbrs[u]
         count: dict[int, int] = {}
         # an edge inside N(u) goes through some w in N(u); it is counted
         # once, from its smallest vertex

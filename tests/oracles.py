@@ -4,8 +4,10 @@ Everything here deliberately avoids the code paths of the package: the
 quadrature oracles use a fixed-panel composite midpoint rule instead of
 adaptive Gauss-Legendre, the alpha oracle enumerates all 2^n subsets
 instead of branch-and-bound, the predicate oracles use cubic brute-force
-loops instead of pair-map lookups and test every edge against every
-neighborhood instead of only the edges near it, the recurrence oracles
+loops instead of pair-map lookups, find the linearity witness by an
+early-exit scan instead of the shared pair index, and test every edge
+against every neighborhood instead of only the edges near it, the
+recurrence oracles
 iterate in high-precision floating point instead of exact rationals
 (the graph recurrence, which must match exactly, solves its own
 difference equation), and the reference greedy recounts every degree
@@ -174,6 +176,23 @@ def brute_linear(h: Hypergraph) -> bool:
         len(set(e1) & set(e2)) <= 1
         for e1, e2 in combinations(h.edges, 2)
     )
+
+
+def first_repeated_pair(h: Hypergraph):
+    """is_linear's witness by a scan that stops at the first repeated pair.
+
+    Edges are scanned in index order and each edge's pairs in ascending
+    order; the first pair already seen gives (earlier edge, this edge).
+    Returns None on linear input.
+    """
+    pair_edge: dict[tuple[int, int], int] = {}
+    for i, e in enumerate(h.edges):
+        for pair in combinations(e, 2):
+            j = pair_edge.get(pair)
+            if j is not None:
+                return j, i
+            pair_edge[pair] = i
+    return None
 
 
 def brute_triangle_free(h: Hypergraph) -> bool:

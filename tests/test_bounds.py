@@ -219,6 +219,13 @@ def test_quadrature_argument_errors():
         hi.chishti(3, -0.5)
     with pytest.raises(ValueError):
         hi.chishti(3, 1.0, tol=-1e-9)
+    for tol in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            hi.li_zang(3, 1, 2.0, tol=tol)
+        with pytest.raises(ValueError, match="finite"):
+            hi.chishti(3, 1.0, tol=tol)
+        with pytest.raises(ValueError, match="finite"):
+            hi.bound_table(3, 2, tol=tol)
 
 
 def test_unreachable_tolerance_raises():

@@ -104,14 +104,12 @@ def test_unknown_flag_is_hard_error(capsys):
     assert exc.value.code == 2
 
 
-def test_threads_env(capsys, monkeypatch):
-    monkeypatch.delenv("HYPERIND_THREADS", raising=False)
-    base = run(["bounds-table", "--r", "3", "--d-max", "8"], capsys)[1]
-    monkeypatch.setenv("HYPERIND_THREADS", "4")
-    assert run(["bounds-table", "--r", "3", "--d-max", "8"], capsys)[1] == base
-    monkeypatch.setenv("HYPERIND_THREADS", "zebra")
-    code, _, err = run(["bounds-table", "--r", "3", "--d-max", "8"], capsys)
-    assert code == 2 and "HYPERIND_THREADS" in err
+def test_bounds_table_non_finite_tol(capsys):
+    for tol in ("nan", "inf", "-inf"):
+        argv = ["bounds-table", "--r", "3", "--d-max", "2", f"--tol={tol}",
+                "--format", "json"]
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "" and "tol" in err
 
 
 # --- extract ----------------------------------------------------------------
@@ -204,6 +202,30 @@ def test_gen_underfill_warns(tmp_path, capsys):
     )
     assert code == 1 and "warning" in err
     assert json.loads((tmp_path / "short.hg.json").read_text())["complete"] is False
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "no-such-dir" / "x.hg")
+    code, out, err = run(
+        ["gen", "--family", "loose_path", "--r", "3", "--m", "2", "-o", missing],
+        capsys,
+    )
+    assert code == 2 and out == "" and err.startswith("error: cannot write")
+    code, _, err = run(
+        ["bounds-table", "--r", "3", "--d-max", "2", "-o", missing], capsys
+    )
+    assert code == 2 and err.startswith("error: cannot write")
+
+
+def test_unwritable_sidecar_is_usage_error(tmp_path, capsys):
+    dest = tmp_path / "inst.hg"
+    (tmp_path / "inst.hg.json").mkdir()  # the sidecar path is a directory
+    code, _, err = run(
+        ["gen", "--family", "loose_path", "--r", "3", "--m", "2", "-o", str(dest)],
+        capsys,
+    )
+    assert code == 2 and err.startswith("error: cannot write")
+    assert hi.read_hg(str(dest)) == hi.loose_path(2, 3)
 
 
 def test_gen_bad_spec(capsys):

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import hyperind as hi
 from hyperind.errors import NotLinear
-from oracles import brute_linear, brute_nbhd_max_degree, brute_triangle_free
+from oracles import (
+    brute_linear,
+    brute_nbhd_max_degree,
+    brute_triangle_free,
+    first_repeated_pair,
+)
 from strategies import raw_hypergraphs
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
@@ -53,6 +58,13 @@ def test_is_linear():
 @given(raw_hypergraphs())
 def test_is_linear_matches_brute(h):
     assert hi.is_linear(h)[0] == brute_linear(h)
+
+
+@settings(max_examples=200)
+@given(raw_hypergraphs(max_m=12))
+def test_is_linear_witness_matches_oracle(h):
+    wit = first_repeated_pair(h)
+    assert hi.is_linear(h) == (wit is None, wit)
 
 
 # --- triangles --------------------------------------------------------------
