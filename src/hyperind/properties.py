@@ -119,6 +119,11 @@ def is_double_linear(
     ok, _ = is_linear(h)
     if not ok:
         raise NotLinear("double linearity is only defined for linear input")
+    return _double_linear_scan(h)
+
+
+def _double_linear_scan(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int, int]]]:
+    """is_double_linear on h already known to be linear."""
     nbrs = h.pair_index().nbrs
     for i, e in enumerate(h.edges):
         count: dict[int, int] = {}
@@ -210,7 +215,7 @@ def property_report(h: Hypergraph) -> PropertyReport:
             "edges": list(tri_wit["edges"]),
         }
     if linear:
-        double, dl_wit = is_double_linear(h)
+        double, dl_wit = _double_linear_scan(h)
         if dl_wit is not None:
             u, v, i = dl_wit
             witness["double_linear"] = {"u": u, "v": v, "edge": i}

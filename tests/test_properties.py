@@ -224,6 +224,20 @@ def test_report_non_linear():
     assert len(wit["shared"]) >= 2
 
 
+def test_report_runs_is_linear_once(monkeypatch):
+    calls = []
+    is_linear = hi.properties.is_linear
+
+    def counted(h):
+        calls.append(h)
+        return is_linear(h)
+
+    monkeypatch.setattr(hi.properties, "is_linear", counted)
+    rep = hi.property_report(hi.loose_path(3, 3))
+    assert rep.linear and rep.double_linear
+    assert len(calls) == 1
+
+
 def test_report_edgeless_is_vacuously_fine():
     rep = hi.property_report(hi.Hypergraph(3, []))
     assert rep.uniform_r == hi.VACUOUS
