@@ -9,7 +9,8 @@ Four families of per-vertex weight functions are provided:
 * ``shearer_s1`` -- the closed-form graph (r = 2) bound; at r = 2
   ``potential_weight`` is the exact graph recurrence, which dominates it.
 * ``li_zang`` / ``chishti`` -- integral-form bounds evaluated by
-  adaptive Gauss-Legendre quadrature with certified tolerance.
+  adaptive GL7/GL15 Gauss-Legendre quadrature with certified tolerance,
+  in the standard library alone (rules computed at import, fsum sums).
 
 The integral kernels are implemented with a "+" sign in the denominator
 (``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``).  The widely reprinted "-"
@@ -27,8 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
-
-import numpy as np
 
 from .core import Hypergraph
 from .errors import (
@@ -145,49 +144,58 @@ def convexity_minorant(r: int, d: int) -> Fraction:
 # adaptive Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-_GL_NODES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+def _gauss_legendre(k: int) -> tuple[tuple[float, float], ...]:
+    """(node, weight) pairs of the k-point Gauss-Legendre rule on [-1, 1].
 
-def _leggauss(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_NODES:
-        _GL_NODES[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_NODES[order]
-
-
-def _adaptive_gl(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo: float,
-    hi: float,
-    tol: float,
-    max_panels: int = 20000,
-) -> float:
-    """Globally adaptive Gauss-Legendre integration of f over [lo, hi].
-
-    Each panel carries a GL15 value and the estimate |GL15 - GL7|; the
-    worst panel is halved until the summed estimate drops below tol.
-    Panels are summed in position order so the result does not depend
-    on heap internals.  Raises NonConvergent when the panel budget runs
-    out or the worst panel can no longer be split in float arithmetic.
+    Newton's method on the three-term recurrence
+    (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}, started at
+    x = cos(pi (i - 1/4) / (k + 1/2)); the weight is 2 / ((1-x^2) P_k'(x)^2).
     """
-    x7, w7 = _leggauss(7)
-    x15, w15 = _leggauss(15)
+    rule = []
+    for i in range(1, k + 1):
+        x = math.cos(math.pi * (i - 0.25) / (k + 0.5))
+        for _ in range(8):
+            p0, p1 = 1.0, x
+            for j in range(1, k):
+                p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+            dp = k * (x * p1 - p0) / (x * x - 1.0)
+            x -= p1 / dp
+        rule.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    return tuple(sorted(rule))
+
+
+_GL7, _GL15 = _gauss_legendre(7), _gauss_legendre(15)
+_MAX_SPLITS = 20000
+
+
+def _adaptive_gl(f: Callable[[float], float], tol: float) -> float:
+    """Globally adaptive Gauss-Legendre integration of f over [0, 1].
+
+    Each panel carries a GL15 value and the estimate |GL15 - GL7|, each
+    rule summed with math.fsum; the worst panel is halved until the
+    summed estimate drops below tol.  Panels are summed in position
+    order so the result does not depend on heap internals.  Raises
+    NonConvergent after _MAX_SPLITS splits or once the worst panel can
+    no longer be split in float arithmetic.
+    """
 
     def panel(a: float, b: float) -> tuple[float, float]:
         c, hw = 0.5 * (a + b), 0.5 * (b - a)
-        v15 = hw * float(np.dot(w15, f(c + hw * x15)))
-        v7 = hw * float(np.dot(w7, f(c + hw * x7)))
+        v15 = hw * math.fsum(w * f(c + hw * x) for x, w in _GL15)
+        v7 = hw * math.fsum(w * f(c + hw * x) for x, w in _GL7)
         return v15, abs(v15 - v7)
 
-    v, e = panel(lo, hi)
-    heap = [(-e, lo, hi, v)]
+    v, e = panel(0.0, 1.0)
+    heap = [(-e, 0.0, 1.0, v)]
     total_err = e
     splits = 0
     while total_err > tol:
         splits += 1
-        if splits > max_panels:
+        if splits > _MAX_SPLITS:
             raise NonConvergent(
                 f"estimated error {total_err:.3e} still above tol={tol:.3e} "
-                f"after {max_panels} panel splits"
+                f"after {_MAX_SPLITS} panel splits"
             )
         neg_e, a, b, _ = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -263,11 +271,11 @@ def li_zang(
     bnorm = _beta(1.0 / rm1, gamma)
     sign = 1.0 if corrected else -1.0
 
-    def f(u: np.ndarray) -> np.ndarray:
-        t = np.minimum(u ** rm1, 1.0)
+    def f(u: float) -> float:
+        t = min(u ** rm1, 1.0)
         return rm1 * (1.0 - t) ** gamma / (m + sign * (xf - m) * t)
 
-    integral = _adaptive_gl(f, 0.0, 1.0, tol * bnorm / m)
+    integral = _adaptive_gl(f, tol * bnorm / m)
     return (m / bnorm) * integral
 
 
@@ -295,11 +303,11 @@ def chishti(r: int, x: Real, tol: float = 1e-9, kernel: str = "corrected") -> fl
     rm1 = r - 1
     coef = (rm1 * xf - 1.0) if corrected else -(rm1 * xf - 1.0)
 
-    def f(u: np.ndarray) -> np.ndarray:
-        t = np.minimum(u ** rm1, 1.0)
+    def f(u: float) -> float:
+        t = min(u ** rm1, 1.0)
         return (1.0 - t) / (1.0 + coef * t)
 
-    return _adaptive_gl(f, 0.0, 1.0, tol)
+    return _adaptive_gl(f, tol)
 
 
 # ---------------------------------------------------------------------------

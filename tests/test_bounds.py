@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import hyperind as hi
@@ -231,6 +232,17 @@ def test_quadrature_argument_errors():
 def test_unreachable_tolerance_raises():
     with pytest.raises(NonConvergent):
         hi.chishti(3, 7, tol=1e-30)
+
+
+def test_gauss_legendre_rules_match_numpy():
+    # numpy serves only as an oracle here; the library does not use it
+    from hyperind.bounds import _GL7, _GL15
+
+    for k, rule in ((7, _GL7), (15, _GL15)):
+        x, w = np.polynomial.legendre.leggauss(k)
+        nodes, weights = zip(*rule)
+        assert np.max(np.abs(np.array(nodes) - x)) <= 1e-15
+        assert np.max(np.abs(np.array(weights) - w)) <= 1e-15
 
 
 # --- hypergraph-level sums --------------------------------------------------
