@@ -9,7 +9,11 @@ corpus and the small corpus.  A second sha256 covers format_hg of
 generated instances for r in {2, 3, 4}, underfilled specs included.
 The digests in golden/properties.json were recorded before the
 predicates and the generator moved onto one shared pair index; any
-refactor of them must leave both unchanged.
+refactor of them must leave both unchanged.  A third sha256,
+generated_large, covers format_hg of complete random instances at
+n = 800 and 3200 (the generated digest stops at n = 60); it was
+recorded while the unranker still scanned every vertex, before it
+moved to a binary search.
 """
 
 from __future__ import annotations
@@ -94,3 +98,18 @@ def test_generated_instances_frozen():
         sha.update(hi.format_hg(h).encode())
     assert underfilled >= 12
     assert sha.hexdigest() == GOLDEN["generated"]
+
+
+# (n, r) of complete random instances with m = n and seed 0, large
+# enough that each draw unranks from a candidate space of 10^8 or more
+GENERATED_LARGE = [(800, 3), (800, 4), (3200, 3)]
+
+
+def test_large_generated_instances_frozen():
+    sha = hashlib.sha256()
+    for n, r in GENERATED_LARGE:
+        h, complete = hi.generate(hi.InstanceSpec("random", n=n, r=r, m=n, seed=0))
+        assert complete
+        sha.update(f"random {n} {r} {n} 0 {complete}\n".encode())
+        sha.update(hi.format_hg(h).encode())
+    assert sha.hexdigest() == GOLDEN["generated_large"]
