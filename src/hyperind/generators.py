@@ -5,6 +5,14 @@ published 64-bit generator that is trivial to reproduce in any language.
 Every candidate edge consumes exactly one 64-bit draw, which is unranked
 into an r-subset lexicographically, so a (seed, n, r) triple pins the
 whole candidate stream; rejected candidates consume their draw.
+
+Unranking follows the combinatorial number system (Knuth, TAOCP 4A,
+7.2.1.3): each of the r elements is found by a binary search on a
+difference of two binomials, so a draw costs O(r log n) calls to
+math.comb rather than one per vertex.  A draw reduced modulo C(n, r)
+reaches every rank only while C(n, r) <= 2^64, so larger candidate
+spaces are refused with BadSpec instead of silently sampling a prefix
+of them.
 """
 
 from __future__ import annotations
@@ -50,18 +58,32 @@ class SplitMix64:
 
 
 def _unrank_subset(index: int, n: int, r: int) -> tuple[int, ...]:
-    """index-th r-subset of {0..n-1} in lexicographic order."""
+    """index-th r-subset of {0..n-1} in lexicographic order.
+
+    With s the first vertex still free and k elements still needed, the
+    subsets of {s..n-1} whose next element lies below v number
+    C(n-s, k) - C(n-v, k) (hockey-stick identity).  The next element is
+    the largest v in [s, n-k] for which that count is at most index; a
+    binary search finds it with about log2(n) calls to comb, then the
+    count is subtracted from index and s = v+1, k = k-1.  Requires
+    0 <= index < C(n, r).
+    """
     out = []
-    need = r
-    for v in range(n):
-        if need == 0:
-            break
-        below = comb(n - v - 1, need - 1)
-        if index < below:
-            out.append(v)
-            need -= 1
-        else:
-            index -= below
+    s = 0
+    for k in range(r, 0, -1):
+        top = comb(n - s, k)
+        # invariant: the count below lo, top - comb(n - lo, k), is <= index
+        lo, hi, below = s, n - k, 0
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            count = top - comb(n - mid, k)
+            if count <= index:
+                lo, below = mid, count
+            else:
+                hi = mid - 1
+        out.append(lo)
+        index -= below
+        s = lo + 1
     return tuple(out)
 
 
@@ -117,8 +139,10 @@ def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     50 * spec.m consecutive rejections, in which case the second return
     value is False and the instance has fewer edges than requested.
 
-    Raises BadSpec for invalid parameters (including n < r with a
-    positive edge target, where no candidate exists).
+    Raises BadSpec for invalid parameters, including, with a positive
+    edge target, n < r (no candidate exists) and C(n, r) > 2^64 (a
+    64-bit draw cannot reach every r-subset, so sampling would not be
+    uniform).
     """
     _validate(spec)
     n, r, m_target = spec.n, spec.r, spec.m
@@ -126,8 +150,13 @@ def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
         raise BadSpec(f"vertex count must be non-negative, got {n}")
     if m_target > 0 and n < r:
         raise BadSpec(f"no {r}-subset of {n} vertices exists")
-    rng = SplitMix64(spec.seed)
     total = comb(n, r)
+    if m_target > 0 and total > 1 << 64:
+        raise BadSpec(
+            f"C({n}, {r}) = {total} candidate edges exceed the 2^64 ranks "
+            "one 64-bit draw can reach"
+        )
+    rng = SplitMix64(spec.seed)
     edges: list[tuple[int, ...]] = []
     index = PairIndex(n)
     rejections = 0

@@ -10,9 +10,10 @@ against every neighborhood instead of only the edges near it, the
 recurrence oracles
 iterate in high-precision floating point instead of exact rationals
 (the graph recurrence, which must match exactly, solves its own
-difference equation), and the reference greedy recounts every degree
-and every potential from plain edge lists at every step.  Agreement
-between such different routes is the point.
+difference equation), the reference greedy recounts every degree
+and every potential from plain edge lists at every step, and the
+subset unranker walks every vertex in turn instead of binary
+searching.  Agreement between such different routes is the point.
 """
 
 from __future__ import annotations
@@ -230,6 +231,32 @@ def brute_nbhd_max_degree(h: Hypergraph) -> int:
         if count:
             best = max(best, max(count.values()))
     return best
+
+
+# ---------------------------------------------------------------------------
+# lexicographic unranking: one vertex at a time
+# ---------------------------------------------------------------------------
+
+
+def lex_unrank_subset(index: int, n: int, r: int) -> tuple[int, ...]:
+    """index-th r-subset of {0..n-1} in lexicographic order, in Theta(n).
+
+    Walks v = 0, 1, ...: the subsets that take v as their next element
+    number C(n-v-1, need-1); v is taken when index falls among them,
+    and otherwise they are skipped.
+    """
+    out = []
+    need = r
+    for v in range(n):
+        if need == 0:
+            break
+        below = math.comb(n - v - 1, need - 1)
+        if index < below:
+            out.append(v)
+            need -= 1
+        else:
+            index -= below
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -236,6 +236,17 @@ def test_gen_bad_spec(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_gen_beyond_64_bit_candidate_space_is_usage_error(tmp_path, capsys):
+    dest = tmp_path / "big.hg"
+    code, out, err = run(
+        ["gen", "--family", "random", "--n", "100000", "--r", "5", "--m", "2000",
+         "-o", str(dest)],
+        capsys,
+    )
+    assert code == 2 and out == "" and "2^64" in err
+    assert not dest.exists()
+
+
 # --- compare ----------------------------------------------------------------
 
 

@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
-from math import comb
+from math import ceil, comb, log2
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hyperind as hi
+import hyperind.generators as generators
 from hyperind.errors import BadSpec
 from hyperind.generators import SplitMix64, _unrank_subset
-from oracles import brute_linear, brute_triangle_free
+from oracles import brute_linear, brute_triangle_free, lex_unrank_subset
 
 
 # --- RNG and unranking ------------------------------------------------------
@@ -36,6 +39,55 @@ def test_unrank_subset_is_lexicographic():
         expect = list(combinations(range(n), r))
         got = [_unrank_subset(i, n, r) for i in range(comb(n, r))]
         assert got == expect
+
+
+LARGE_N = (800, 3200, 10**5, 10**6)
+
+
+def test_unrank_subset_boundary_ranks_match_oracle():
+    cases = [(n, r) for n in range(1, 61) for r in range(1, n + 1)]
+    for n, r in cases + [(n, r) for n in LARGE_N for r in (2, 4)]:
+        for index in (0, comb(n, r) - 1):
+            assert _unrank_subset(index, n, r) == lex_unrank_subset(index, n, r)
+
+
+@st.composite
+def ranked_subsets(draw):
+    """(index, n, r): any rank at r <= n <= 60, a uniform rank at large n."""
+    n = draw(st.one_of(st.integers(1, 60), st.sampled_from(LARGE_N)))
+    if n <= 60:
+        r = draw(st.integers(1, n))
+        return draw(st.integers(0, comb(n, r) - 1)), n, r
+    r = draw(st.integers(1, 6))
+    # hypothesis favours small integers, so a rank drawn directly would
+    # mostly name subsets of the first few vertices
+    seed = draw(st.integers(0, 2**64 - 1))
+    return random.Random(seed).randrange(comb(n, r)), n, r
+
+
+@settings(max_examples=100, deadline=None)
+@given(ranked_subsets())
+def test_unrank_subset_matches_oracle(case):
+    assert _unrank_subset(*case) == lex_unrank_subset(*case)
+
+
+def test_unrank_subset_makes_logarithmically_many_comb_calls(monkeypatch):
+    # a return to one comb call per vertex would make about 10^6 here
+    n, r = 10**6, 4
+    total = comb(n, r)
+    calls = 0
+
+    def counting_comb(a, b):
+        nonlocal calls
+        calls += 1
+        return comb(a, b)
+
+    monkeypatch.setattr(generators, "comb", counting_comb)
+    rng = SplitMix64(0)
+    for index in (0, total - 1, *(rng.next() % total for _ in range(5))):
+        calls = 0
+        _unrank_subset(index, n, r)
+        assert calls <= r * (ceil(log2(n)) + 2)
 
 
 # --- random family ----------------------------------------------------------
@@ -126,6 +178,33 @@ def test_bad_specs():
         hi.generate(hi.InstanceSpec("random", n=9, r=3, m=4, seed=-1))
     with pytest.raises(BadSpec):
         hi.random_linear_triangle_free(hi.InstanceSpec("random", n=2, r=3, m=1))
+
+
+def test_candidate_space_beyond_64_bits_is_refused():
+    # C(10^5, 5) is about 8.3e22: a 64-bit draw modulo it could only
+    # ever reach ranks below 2^64, whose subsets all start at 0..4
+    with pytest.raises(BadSpec, match="2\\^64"):
+        hi.generate(hi.InstanceSpec("random", n=100000, r=5, m=2000, seed=0))
+
+
+def test_largest_64_bit_candidate_space_generates():
+    # no C(n, r) with 2 <= r <= n - 2 is a power of two, so the largest
+    # space a draw can cover is the largest n with C(n, r) below 2^64
+    r, lo, hi_ = 5, 5, 10**5
+    while lo < hi_:
+        mid = (lo + hi_ + 1) // 2
+        lo, hi_ = (mid, hi_) if comb(mid, r) <= 1 << 64 else (lo, mid - 1)
+    n = lo
+    assert comb(n, r) <= 1 << 64 < comb(n + 1, r)
+    h, complete = hi.generate(hi.InstanceSpec("random", n=n, r=r, m=20, seed=0))
+    assert complete and h.m == 20 and hi.property_report(h).hypotheses_hold()
+    with pytest.raises(BadSpec):
+        hi.generate(hi.InstanceSpec("random", n=n + 1, r=r, m=20, seed=0))
+    # with no edge to draw, the size of the candidate space is irrelevant
+    assert hi.generate(hi.InstanceSpec("random", n=n + 1, r=r, m=0)) == (
+        hi.Hypergraph(n + 1, []),
+        True,
+    )
 
 
 def test_spec_json_round_trip():
