@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import combinations, count
 from math import ceil, comb, log2
 
 import pytest
@@ -190,12 +190,8 @@ def test_candidate_space_beyond_64_bits_is_refused():
 def test_largest_64_bit_candidate_space_generates():
     # no C(n, r) with 2 <= r <= n - 2 is a power of two, so the largest
     # space a draw can cover is the largest n with C(n, r) below 2^64
-    r, lo, hi_ = 5, 5, 10**5
-    while lo < hi_:
-        mid = (lo + hi_ + 1) // 2
-        lo, hi_ = (mid, hi_) if comb(mid, r) <= 1 << 64 else (lo, mid - 1)
-    n = lo
-    assert comb(n, r) <= 1 << 64 < comb(n + 1, r)
+    r = 5
+    n = next(n for n in count(r) if comb(n + 1, r) > 1 << 64)
     h, complete = hi.generate(hi.InstanceSpec("random", n=n, r=r, m=20, seed=0))
     assert complete and h.m == 20 and hi.property_report(h).hypotheses_hold()
     with pytest.raises(BadSpec):

@@ -100,8 +100,7 @@ def test_generated_instances_frozen():
     assert sha.hexdigest() == GOLDEN["generated"]
 
 
-# (n, r) of complete random instances with m = n and seed 0, large
-# enough that each draw unranks from a candidate space of 10^8 or more
+# (n, r) of complete random instances with m = n and seed 0
 GENERATED_LARGE = [(800, 3), (800, 4), (3200, 3)]
 
 
