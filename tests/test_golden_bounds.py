@@ -1,11 +1,16 @@
-"""Bound tables are frozen at six decimals; the integrals track mpmath.
+"""Bound tables are frozen at six decimals and at full precision.
 
 One sha256 over table_to_csv(bound_table(r, 400)) for r = 2..6 and
-over one m = 2 table, which exercises li_zang's m.  The digest in
-golden/bounds.json was recorded before the quadrature moved off numpy;
-a rewrite of the quadrature may move the full-precision f_LZ and
-f_CZPI values only within tol, and that is checked against the mpmath
-oracles on a grid of r and x.
+over one m = 2 table, which exercises li_zang's m.  That digest was
+recorded before the quadrature moved off numpy, and the integrals are
+checked against the mpmath oracles on a grid of r and x.
+
+A second sha256, tables_d400_json, covers the same tables through
+table_to_json, which prints every float in full (repr), plus the
+printed-kernel values at pole-free x.  It catches a last-bit drift that
+six decimals hide; it was recorded before the quadrature began sharing
+panel nodes across calls.  It rests on the platform's libm (pow, exp,
+lgamma) giving the same bits.
 """
 
 from __future__ import annotations
@@ -25,6 +30,9 @@ TOL = 1e-9
 # (r, m) of the frozen tables, all at d_max = 400
 TABLES = [(r, 1) for r in range(2, 7)] + [(3, 2)]
 GRID_X = (0.5, 1, 2.5, 7, 40, 150, 400)
+# pole-free for the printed li_zang kernel at m = 1, 2 (x < 2m); chishti
+# only where (r-1)x < 2
+PRINTED_X = (0.1, 0.35, 1.5)
 
 
 def test_bound_tables_frozen():
@@ -33,6 +41,22 @@ def test_bound_tables_frozen():
         sha.update(f"r={r} m={m}\n".encode())
         sha.update(hi.table_to_csv(hi.bound_table(r, 400, m=m)).encode())
     assert sha.hexdigest() == GOLDEN["tables_d400"]
+
+
+def test_bound_tables_frozen_at_full_precision():
+    sha = hashlib.sha256()
+    for r, m in TABLES:
+        sha.update(f"r={r} m={m}\n".encode())
+        sha.update(hi.table_to_json(hi.bound_table(r, 400, m=m), r, m, TOL).encode())
+    for r in range(2, 7):
+        for x in PRINTED_X:
+            for m in (1, 2):
+                v = hi.li_zang(r, m, x, TOL, kernel="printed")
+                sha.update(f"li_zang r={r} m={m} x={x} {v!r}\n".encode())
+            if (r - 1) * x < 2:
+                v = hi.chishti(r, x, TOL, kernel="printed")
+                sha.update(f"chishti r={r} x={x} {v!r}\n".encode())
+    assert sha.hexdigest() == GOLDEN["tables_d400_json"]
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
