@@ -11,6 +11,10 @@ Four families of per-vertex weight functions are provided:
 * ``li_zang`` / ``chishti`` -- integral-form bounds evaluated by
   adaptive GL7/GL15 Gauss-Legendre quadrature with certified tolerance,
   in the standard library alone (rules computed at import, fsum sums).
+  Panels are dyadic halvings of [0, 1], so every degree visits the same
+  panel nodes; the values there that do not depend on the degree are
+  kept in bounded caches and shared across calls, and a bound table
+  pays for each panel's powers once.
 
 The integral kernels are implemented with a "+" sign in the denominator
 (``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``).  The widely reprinted "-"
@@ -23,11 +27,13 @@ interior poles.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .core import Hypergraph
 from .errors import (
@@ -166,24 +172,50 @@ def _gauss_legendre(k: int) -> tuple[tuple[float, float], ...]:
 
 
 _GL7, _GL15 = _gauss_legendre(7), _gauss_legendre(15)
+# the GL15 and then the GL7 nodes, and each rule's weights
+_NODES = tuple(x for x, _ in _GL15 + _GL7)
+_W15, _W7 = (tuple(w for _, w in rule) for rule in (_GL15, _GL7))
 _MAX_SPLITS = 20000
+# panels whose node values each cache below keeps; a d_max 400 table at
+# tol 1e-9 visits about 40 panels per (r, m)
+_PANEL_CACHE_SIZE = 1024
 
 
-def _adaptive_gl(f: Callable[[float], float], tol: float) -> float:
-    """Globally adaptive Gauss-Legendre integration of f over [0, 1].
+@functools.lru_cache(maxsize=_PANEL_CACHE_SIZE)
+def _panel_t(rm1: int, a: float, b: float) -> tuple[float, ...]:
+    """t = min(u^(r-1), 1) at the GL15 and then the GL7 nodes u of [a, b]."""
+    c, hw = 0.5 * (a + b), 0.5 * (b - a)
+    return tuple(min((c + hw * x) ** rm1, 1.0) for x in _NODES)
 
-    Each panel carries a GL15 value and the estimate |GL15 - GL7|, each
-    rule summed with math.fsum; the worst panel is halved until the
-    summed estimate drops below tol.  Panels are summed in position
-    order so the result does not depend on heap internals.  Raises
-    NonConvergent after _MAX_SPLITS splits or once the worst panel can
-    no longer be split in float arithmetic.
+
+@functools.lru_cache(maxsize=_PANEL_CACHE_SIZE)
+def _panel_lz_num(rm1: int, gamma: float, a: float, b: float) -> tuple[float, ...]:
+    """li_zang's numerator (r-1)(1-t)^gamma at the nodes of _panel_t."""
+    return tuple(rm1 * (1.0 - t) ** gamma for t in _panel_t(rm1, a, b))
+
+
+def _adaptive_gl(
+    values: Callable[[float, float], Sequence[float]], tol: float
+) -> float:
+    """Globally adaptive Gauss-Legendre integration over [0, 1].
+
+    values(a, b) returns the integrand at the 15 GL15 nodes and then the
+    7 GL7 nodes of panel [a, b].  Panels are dyadic halvings of [0, 1],
+    so every call visits the same panels, and the integrands share their
+    x-independent node values across calls through _panel_t and
+    _panel_lz_num.  Each panel carries a GL15 value and the estimate
+    |GL15 - GL7|, each rule summed with math.fsum; the worst panel is
+    halved until the summed estimate drops below tol.  Panels are summed
+    in position order so the result does not depend on heap internals.
+    Raises NonConvergent after _MAX_SPLITS splits or once the worst panel
+    can no longer be split in float arithmetic.
     """
 
     def panel(a: float, b: float) -> tuple[float, float]:
-        c, hw = 0.5 * (a + b), 0.5 * (b - a)
-        v15 = hw * math.fsum(w * f(c + hw * x) for x, w in _GL15)
-        v7 = hw * math.fsum(w * f(c + hw * x) for x, w in _GL7)
+        hw = 0.5 * (b - a)
+        ys = values(a, b)
+        v15 = hw * math.fsum(map(operator.mul, _W15, ys))
+        v7 = hw * math.fsum(map(operator.mul, _W7, ys[15:]))
         return v15, abs(v15 - v7)
 
     v, e = panel(0.0, 1.0)
@@ -269,13 +301,15 @@ def li_zang(
     rm1 = r - 1
     gamma = 1.0 / (rm1 * rm1 * m)  # exponent a/m
     bnorm = _beta(1.0 / rm1, gamma)
-    sign = 1.0 if corrected else -1.0
+    k = (1.0 if corrected else -1.0) * (xf - m)
 
-    def f(u: float) -> float:
-        t = min(u ** rm1, 1.0)
-        return rm1 * (1.0 - t) ** gamma / (m + sign * (xf - m) * t)
+    def values(a: float, b: float) -> list[float]:
+        return [
+            num / (m + k * t)
+            for num, t in zip(_panel_lz_num(rm1, gamma, a, b), _panel_t(rm1, a, b))
+        ]
 
-    integral = _adaptive_gl(f, tol * bnorm / m)
+    integral = _adaptive_gl(values, tol * bnorm / m)
     return (m / bnorm) * integral
 
 
@@ -303,11 +337,10 @@ def chishti(r: int, x: Real, tol: float = 1e-9, kernel: str = "corrected") -> fl
     rm1 = r - 1
     coef = (rm1 * xf - 1.0) if corrected else -(rm1 * xf - 1.0)
 
-    def f(u: float) -> float:
-        t = min(u ** rm1, 1.0)
-        return (1.0 - t) / (1.0 + coef * t)
+    def values(a: float, b: float) -> list[float]:
+        return [(1.0 - t) / (1.0 + coef * t) for t in _panel_t(rm1, a, b)]
 
-    return _adaptive_gl(f, tol)
+    return _adaptive_gl(values, tol)
 
 
 # ---------------------------------------------------------------------------

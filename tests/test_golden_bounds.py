@@ -22,6 +22,8 @@ from pathlib import Path
 import pytest
 
 import hyperind as hi
+from hyperind.bounds import _panel_lz_num, _panel_t
+from hyperind.errors import NonConvergent
 from oracles import mp_chishti, mp_li_zang
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "bounds.json").read_text())
@@ -57,6 +59,60 @@ def test_bound_tables_frozen_at_full_precision():
                 v = hi.chishti(r, x, TOL, kernel="printed")
                 sha.update(f"chishti r={r} x={x} {v!r}\n".encode())
     assert sha.hexdigest() == GOLDEN["tables_d400_json"]
+
+
+def _clear_panel_caches():
+    _panel_t.cache_clear()
+    _panel_lz_num.cache_clear()
+
+
+def _grid_points():
+    for r in range(2, 7):
+        for kernel in ("corrected", "printed"):
+            for x in GRID_X:
+                for m in (1, 2):
+                    yield (hi.li_zang, r, m, x, kernel)
+                yield (hi.chishti, r, None, x, kernel)
+
+
+def _evaluate(point):
+    fn, r, m, x, kernel = point
+    args = (r, x) if m is None else (r, m, x)
+    try:
+        return fn(*args, TOL, kernel=kernel).hex()
+    except NonConvergent:  # the printed kernel's interior pole
+        return None
+
+
+def test_integral_bounds_do_not_depend_on_call_order():
+    # The panel caches are keyed by r-1 (and li_zang's exponent), which
+    # the six-decimal digest would not notice missing.  Each value on an
+    # empty cache must equal, bit for bit, the value read after tables
+    # for every other (r, m) have filled the caches, in reversed order.
+    points = list(_grid_points())
+    cold = {}
+    for point in points:
+        _clear_panel_caches()
+        cold[point] = _evaluate(point)
+    _clear_panel_caches()
+    for r, m in reversed(TABLES + [(r, 2) for r in (2, 4, 5, 6)]):
+        hi.bound_table(r, 400, m=m)
+    warm = {point: _evaluate(point) for point in reversed(points)}
+    assert warm == cold
+    assert all(v is not None for p, v in cold.items() if p[4] == "corrected")
+
+
+def test_panel_caches_stay_bounded():
+    # a hostile tol must not grow the caches past their maxsize
+    _clear_panel_caches()
+    with pytest.raises(NonConvergent):
+        hi.li_zang(3, 1, 7, tol=1e-30)
+    with pytest.raises(NonConvergent):
+        hi.chishti(4, 7, tol=1e-30)
+    for cache in (_panel_t, _panel_lz_num):
+        info = cache.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
