@@ -201,9 +201,9 @@ def _adaptive_gl(
 
     values(a, b) returns the integrand at the 15 GL15 nodes and then the
     7 GL7 nodes of panel [a, b].  Panels are dyadic halvings of [0, 1],
-    so every call visits the same panels, and the integrands share their
-    x-independent node values across calls through _panel_t and
-    _panel_lz_num.  Each panel carries a GL15 value and the estimate
+    so calls at different degrees visit the same panels again, and the
+    integrands share their degree-independent node values across calls
+    through _panel_t and _panel_lz_num.  Each panel carries a GL15 value and the estimate
     |GL15 - GL7|, each rule summed with math.fsum; the worst panel is
     halved until the summed estimate drops below tol.  Panels are summed
     in position order so the result does not depend on heap internals.
