@@ -9,8 +9,8 @@ A second sha256, tables_d400_json, covers the same tables through
 table_to_json, which prints every float in full (repr), plus the
 printed-kernel values at pole-free x.  It catches a last-bit drift that
 six decimals hide; it was recorded before the quadrature began sharing
-panel nodes across calls.  It rests on the platform's libm (pow, exp,
-lgamma) giving the same bits.
+panel nodes across calls.  It rests on the platform's libm (pow, exp)
+giving the same bits.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def _evaluate(point):
 def test_integral_bounds_do_not_depend_on_call_order():
     # The panel caches are keyed by r-1 (and li_zang's exponent), which
     # the six-decimal digest would not notice missing.  Each value on an
-    # empty cache must equal, bit for bit, the value read after tables
-    # for every other (r, m) have filled the caches, in reversed order.
+    # empty cache must equal, bit for bit, the value read in reversed
+    # order after d_max 400 tables for ten (r, m) have filled the caches.
     points = list(_grid_points())
     cold = {}
     for point in points:
