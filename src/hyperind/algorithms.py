@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, NamedTuple, Optional
 
 from .core import Hypergraph, slot_partition
 from .errors import HypothesisViolated, InvalidSlot
@@ -36,8 +35,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     """One extraction step, in original vertex ids."""
 
     x: int
@@ -50,8 +48,7 @@ class Step:
         return 1 + self.potential_after - self.potential_before
 
 
-@dataclass(frozen=True)
-class ExtractionCertificate:
+class ExtractionCertificate(NamedTuple):
     """Audit trail of a greedy extraction.
 
     guarantee is the potential of the input; when guaranteed is True the
@@ -231,8 +228,7 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
     )
 
 
-@dataclass(frozen=True)
-class AlphaResult:
+class AlphaResult(NamedTuple):
     """Independence number search result.
 
     exact=False means the node budget ran out and alpha is only the best

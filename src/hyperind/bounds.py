@@ -22,7 +22,7 @@ variants develop a pole inside (0, 1) once x > 2m (resp. x > 2/(r-1))
 and already disagree with the exact r = 2 closed form at pole-free
 arguments, while the "+" kernels reproduce it to machine precision; the
 reprinted form stays available via ``kernel="printed"`` and raises on
-interior poles.
+interior poles and, for li_zang, on the endpoint pole at x = 2m.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ import functools
 import heapq
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 from .core import Hypergraph
 from .errors import (
@@ -281,7 +280,10 @@ def li_zang(
 
     With kernel="printed" the denominator sign flips to m - (x-m)t;
     that form has a pole at t = m/(x-m) inside (0,1) whenever x > 2m
-    and NonConvergent is raised there.
+    and NonConvergent is raised there.  At x = 2m the pole sits at the
+    endpoint t = 1, where the integrand grows like (1-t)^(a/m - 1)
+    without bound and the quadrature cannot certify tol, so
+    NonConvergent is raised there too unless a/m = 1 (r = 2, m = 1).
 
     |result - true value| <= tol on success.
     """
@@ -296,10 +298,16 @@ def li_zang(
             f"printed kernel has an interior pole at t = {m / (xf - m):.6g} "
             f"for x = {xf} > 2m = {2 * m}; use the corrected kernel"
         )
-    if xf == 0.0:
-        return 1.0
     rm1 = r - 1
     gamma = 1.0 / (rm1 * rm1 * m)  # exponent a/m
+    if not corrected and xf == 2 * m and gamma < 1.0:
+        raise NonConvergent(
+            f"printed kernel has an endpoint pole at t = 1 for x = 2m = {xf}, "
+            f"where the integrand grows like (1-t)^{gamma - 1.0:.6g}; "
+            "use the corrected kernel"
+        )
+    if xf == 0.0:
+        return 1.0
     bnorm = _beta(1.0 / rm1, gamma)
     k = (1.0 if corrected else -1.0) * (xf - m)
 
@@ -387,8 +395,7 @@ def chishti_bound(h: Hypergraph, r: int, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundValue:
+class BoundValue(NamedTuple):
     """One evaluated bound: exact Fraction or float with |error| <= error."""
 
     kind: str
@@ -398,8 +405,7 @@ class BoundValue:
     error: float = 0.0
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """All four bound columns at one degree."""
 
     d: int

@@ -14,15 +14,6 @@ import json
 import sys
 from typing import Optional
 
-from .algorithms import exact_alpha, greedy_extract
-from .bounds import (
-    as_ratio,
-    bound_table,
-    caro_tuza_total,
-    chishti_bound,
-    table_to_csv,
-    table_to_json,
-)
 from .core import format_hg, read_hg
 from .errors import (
     BadSpec,
@@ -33,8 +24,9 @@ from .errors import (
     InvalidVertex,
     NegativeDegree,
 )
+# argparse needs FAMILIES to build the parser, so generators and the core
+# it imports load in every process; each cmd_* imports the rest it calls
 from .generators import FAMILIES, InstanceSpec, generate
-from .properties import property_report
 
 __all__ = ["main"]
 
@@ -72,6 +64,8 @@ def _emit(text: str, output: str) -> None:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    from .properties import property_report
+
     h = _load(args.file)
     report = property_report(h)
     _emit(report.to_json() + "\n", args.output)
@@ -79,6 +73,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_table(args: argparse.Namespace) -> int:
+    from .bounds import bound_table, table_to_csv, table_to_json
+
     rows = bound_table(args.r, args.d_max, m=args.m, tol=args.tol)
     if args.format == "csv":
         text = table_to_csv(rows)
@@ -89,6 +85,8 @@ def cmd_bounds_table(args: argparse.Namespace) -> int:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from .algorithms import greedy_extract
+
     h = _load(args.file)
     cert = greedy_extract(h, args.r, unsafe=args.unsafe)
     _emit(cert.to_json() + "\n", args.output)
@@ -96,6 +94,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 
 
 def cmd_exact(args: argparse.Namespace) -> int:
+    from .algorithms import exact_alpha
+
     h = _load(args.file)
     result = exact_alpha(h, budget=args.budget)
     payload = {
@@ -134,6 +134,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from .algorithms import exact_alpha, greedy_extract
+    from .bounds import as_ratio, caro_tuza_total, chishti_bound
+
     h = _load(args.file)
     cert = greedy_extract(h, args.r)  # enforces the hypotheses
     pot = cert.guarantee

@@ -9,10 +9,9 @@ operation returns a new object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import (
     BadUniformity,
@@ -186,8 +185,7 @@ def remove(h: Hypergraph, xs: Iterable[int]) -> tuple[Hypergraph, dict[int, int]
     return Hypergraph(len(old_to_new), kept), old_to_new
 
 
-@dataclass(frozen=True)
-class SlotPartition:
+class SlotPartition(NamedTuple):
     """The r-1 slots of a vertex: disjoint sets covering its neighborhood.
 
     slots[j] holds, for every edge through the center, the (j+1)-th

@@ -12,15 +12,18 @@ difference of two binomials, so a draw costs O(r log n) calls to
 math.comb rather than one per vertex.  A draw reduced modulo C(n, r)
 reaches every rank only while C(n, r) <= 2^64, so larger candidate
 spaces are refused with BadSpec instead of silently sampling a prefix
-of them.
+of them.  Below that limit the reduction is close to uniform but not
+exactly: with q = floor(2^64 / C(n, r)), every rank is hit by q or q+1
+of the 2^64 draws, so each candidate's probability is within a factor
+1 + 1/q of uniform.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import NamedTuple
 
 from .core import Hypergraph, PairIndex
 from .errors import BadSpec
@@ -87,8 +90,7 @@ def _unrank_subset(index: int, n: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class InstanceSpec:
+class InstanceSpec(NamedTuple):
     """Reproducible description of a generated instance."""
 
     family: str
@@ -133,16 +135,17 @@ def _validate(spec: InstanceSpec) -> None:
 def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     """Rejection-sample a random r-uniform linear triangle-free hypergraph.
 
-    Uniform r-subsets are drawn one per RNG output and accepted exactly
-    when adding them keeps the edge set linear and triangle-free (both
-    checked incrementally).  Sampling stops at spec.m edges, or after
+    Candidate r-subsets are drawn one per RNG output, each with
+    probability within a factor 1 + 1/floor(2^64 / C(n, r)) of uniform
+    (see the module docstring), and accepted exactly when adding them
+    keeps the edge set linear and triangle-free (both checked
+    incrementally).  Sampling stops at spec.m edges, or after
     50 * spec.m consecutive rejections, in which case the second return
     value is False and the instance has fewer edges than requested.
 
     Raises BadSpec for invalid parameters, including, with a positive
     edge target, n < r (no candidate exists) and C(n, r) > 2^64 (a
-    64-bit draw cannot reach every r-subset, so sampling would not be
-    uniform).
+    64-bit draw cannot reach every r-subset).
     """
     _validate(spec)
     n, r, m_target = spec.n, spec.r, spec.m

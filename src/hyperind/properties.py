@@ -9,8 +9,7 @@ with a stable JSON form.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .core import Hypergraph
 from .errors import NotLinear
@@ -165,8 +164,7 @@ def neighborhood_max_degree(h: Hypergraph) -> int:
     return best
 
 
-@dataclass(frozen=True)
-class PropertyReport:
+class PropertyReport(NamedTuple):
     """All structural predicates of a hypergraph in one record."""
 
     uniform_r: Union[int, str, None]

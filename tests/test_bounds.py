@@ -205,6 +205,16 @@ def test_printed_kernel():
         hi.chishti(3, 1.5, kernel="printed")
 
 
+def test_printed_kernel_endpoint_pole():
+    # at x = 2m the printed pole reaches t = 1; the integrand is unbounded
+    # there unless a/m = 1, which holds only at r = 2, m = 1
+    with pytest.raises(NonConvergent, match="endpoint pole"):
+        hi.li_zang(3, 1, 2.0, kernel="printed")
+    with pytest.raises(NonConvergent, match="endpoint pole"):
+        hi.li_zang(2, 2, 4.0, kernel="printed")
+    assert hi.li_zang(2, 1, 2.0, kernel="printed") == 1.0000000000000002
+
+
 def test_quadrature_argument_errors():
     with pytest.raises(BadUniformity):
         hi.li_zang(1, 1, 2.0)

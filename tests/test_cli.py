@@ -296,15 +296,50 @@ def test_module_entry_point_matches_in_process(capsys):
     assert proc.stdout == expected
 
 
-def test_import_leaves_numpy_unloaded():
+# argv after the subcommand ({in}: a loose-path .hg file, {out}: an output
+# path), and the hyperind modules that process must not load
+SUBCOMMAND_IMPORTS = {
+    "import-cli": ((), ()),
+    "gen": (("gen", "--family", "loose_path", "--r", "3", "--m", "3", "-o", "{out}"), ()),
+    "check": (("check", "{in}", "-o", "{out}"), ("hyperind.bounds", "hyperind.algorithms")),
+    "extract": (("extract", "{in}", "--r", "3", "-o", "{out}"), ()),
+    "exact": (("exact", "{in}", "-o", "{out}"), ()),
+    "bounds-table": (
+        ("bounds-table", "--r", "3", "--d-max", "3", "-o", "{out}"),
+        ("hyperind.properties", "hyperind.algorithms"),
+    ),
+    "compare": (("compare", "{in}", "--r", "3", "-o", "{out}"), ()),
+}
+
+# runs main on argv (none: only imports the CLI), then prints the
+# hyperind, dataclasses and numpy entries of sys.modules
+IMPORT_PROBE = """
+import sys
+import hyperind.cli
+code = hyperind.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(*sorted(m for m in sys.modules
+              if m.partition(".")[0] in ("hyperind", "dataclasses", "numpy")))
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("case", SUBCOMMAND_IMPORTS)
+def test_process_imports(case, loose_file, tmp_path):
+    template, forbidden = SUBCOMMAND_IMPORTS[case]
+    out = str(tmp_path / "out")
+    argv = [a.format_map({"in": loose_file, "out": out}) for a in template]
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, hyperind.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    loaded = set(proc.stdout.split())
+    assert "hyperind.cli" in loaded
+    assert not loaded & {"dataclasses", "numpy", *forbidden}, sorted(loaded)
+    if argv:
+        assert Path(out).stat().st_size > 0
