@@ -38,15 +38,14 @@ def test_import_loads_no_submodule():
     assert proc.stdout == "hyperind\n"
 
 
-@pytest.mark.parametrize("name", [n for n in hi.__all__ if n not in ("errors", "__version__")])
-def test_public_name_is_its_home_modules_object(name):
-    homes = [
-        mod
-        for mod in (importlib.import_module(f"hyperind.{m}") for m in SUBMODULES)
-        if name in mod.__all__
-    ]
-    assert len(homes) == 1
-    assert getattr(hi, name) is getattr(homes[0], name)
+def test_public_names_are_their_home_modules_objects():
+    modules = [importlib.import_module(f"hyperind.{m}") for m in SUBMODULES]
+    for name in hi.__all__:
+        if name in ("errors", "__version__"):
+            continue
+        homes = [mod for mod in modules if name in mod.__all__]
+        assert len(homes) == 1, name
+        assert getattr(hi, name) is getattr(homes[0], name), name
 
 
 def test_submodules_and_version_resolve():
