@@ -4,8 +4,9 @@ Everything here deliberately avoids the code paths of the package: the
 quadrature oracles use a fixed-panel composite midpoint rule instead of
 adaptive Gauss-Legendre, the alpha oracle enumerates all 2^n subsets
 instead of branch-and-bound, the predicate oracles use cubic brute-force
-loops instead of pair-map lookups, find the linearity witness by an
-early-exit scan instead of the shared pair index, and test every edge
+loops instead of pair-map lookups, find the linearity, triangle and
+double-linearity witnesses by early-exit scans over plain edge lists
+instead of the shared pair index, and test every edge
 against every neighborhood instead of only the edges near it, the
 recurrence oracles
 iterate in high-precision floating point instead of exact rationals
@@ -214,6 +215,53 @@ def brute_triangle_free(h: Hypergraph) -> bool:
                         if c != a and c != b:
                             return False
     return True
+
+
+def first_triangle(h: Hypergraph):
+    """is_triangle_free's witness by brute force over its documented order.
+
+    Vertex triples a < b < c in lexicographic order, then edge indexes
+    i1 (holding {b, c}), i2 (holding {a, c}) and i3 (holding {a, b}),
+    each ascending, the three distinct.  Returns the witness dict for
+    the first hit, or None when there is no triangle.
+    """
+    sets = [set(e) for e in h.edges]
+    for a, b, c in combinations(range(h.n), 3):
+        for i1, s1 in enumerate(sets):
+            if not {b, c} <= s1:
+                continue
+            for i2, s2 in enumerate(sets):
+                if i2 == i1 or not {a, c} <= s2:
+                    continue
+                for i3, s3 in enumerate(sets):
+                    if i3 != i1 and i3 != i2 and {a, b} <= s3:
+                        return {"vertices": (a, b, c), "edges": (i1, i2, i3)}
+    return None
+
+
+def first_double_linear_failure(h: Hypergraph):
+    """is_double_linear's witness by brute force over its documented order.
+
+    Edges in index order; for each, every vertex v in ascending order
+    that is adjacent to two or more of the edge's vertices; for each
+    such v, the edge's vertices u in ascending order.  The first u that
+    differs from v and is not adjacent to it gives (u, v, edge index).
+    Adjacency is tested against the edge list directly.  Returns None
+    when there is no such triple.
+    """
+    sets = [set(e) for e in h.edges]
+
+    def adjacent(x: int, y: int) -> bool:
+        return x != y and any(x in s and y in s for s in sets)
+
+    for i, e in enumerate(h.edges):
+        for v in range(h.n):
+            if sum(adjacent(v, w) for w in e) < 2:
+                continue
+            for u in e:
+                if u != v and not adjacent(u, v):
+                    return u, v, i
+    return None
 
 
 def brute_nbhd_max_degree(h: Hypergraph) -> int:

@@ -13,7 +13,9 @@ from oracles import (
     brute_linear,
     brute_nbhd_max_degree,
     brute_triangle_free,
+    first_double_linear_failure,
     first_repeated_pair,
+    first_triangle,
 )
 from strategies import raw_hypergraphs
 
@@ -115,6 +117,31 @@ def test_is_triangle_free_matches_brute(h):
         check_triangle_witness(h, wit)
 
 
+@settings(max_examples=200)
+@given(raw_hypergraphs())
+def test_is_triangle_free_witness_matches_oracle(h):
+    wit = first_triangle(h)
+    assert hi.is_triangle_free(h) == (wit is None, wit)
+
+
+@pytest.mark.parametrize(
+    "edges, witness",
+    [
+        # the smallest pair {0,1} has only e - {0,1} = {2} in common, so
+        # only the pair {1,2} of edge {0,1,2} sees a neighbor outside it
+        ([(0, 1, 2), (1, 2, 3), (0, 2, 4)], ((0, 1, 2), (2, 1, 0))),
+        # all three edges contain the whole triangle {0,1,2}
+        ([(0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 4)], ((0, 1, 2), (0, 1, 2))),
+    ],
+)
+def test_triangle_hard_cases(edges, witness):
+    h = hi.Hypergraph(5, edges)
+    vertices, ix = witness
+    expected = {"vertices": vertices, "edges": ix}
+    assert first_triangle(h) == expected
+    assert hi.is_triangle_free(h) == (False, expected)
+
+
 # --- double linearity and neighborhood degree -------------------------------
 
 
@@ -132,6 +159,18 @@ def test_is_double_linear():
     assert len(e & h.neighborhood(v)) >= 2
     with pytest.raises(NotLinear):
         hi.is_double_linear(hi.Hypergraph(4, [(0, 1, 2), (0, 1, 3)]))
+
+
+@settings(max_examples=200)
+@given(raw_hypergraphs())
+def test_is_double_linear_witness_matches_oracle(h):
+    # the scan behind is_double_linear runs on any input; the public
+    # predicate only on linear input
+    wit = first_double_linear_failure(h)
+    expected = (wit is None, wit)
+    assert hi.properties._double_linear_scan(h) == expected
+    if hi.is_linear(h)[0]:
+        assert hi.is_double_linear(h) == expected
 
 
 def test_neighborhood_max_degree():
