@@ -9,6 +9,7 @@ with a stable JSON form.
 from __future__ import annotations
 
 import json
+from itertools import combinations, product
 from typing import NamedTuple, Optional, Union
 
 from .core import Hypergraph
@@ -75,32 +76,35 @@ def is_triangle_free(
     non-linear input too: a pair may then lie in several edges and all
     choices of distinct representatives are tried.
 
+    A screen runs first.  For a, b in an edge e, N(a) & N(b) holds
+    e - {a, b}, and a triangle always leaves some pair a common neighbor
+    outside its edge.  Either u3, a common neighbor of u1 and u2, lies
+    outside e3 (likewise for e1 and e2), or all three edges contain
+    {u1, u2, u3}; then, as e1 != e2, one of them, say e1, misses some x
+    of the other, and x is a common neighbor of u1 and u2 outside e1.
+    So h is triangle-free when no pair of an edge e has more than
+    |e| - 2 common neighbors; otherwise the ordered search runs.
+
     Returns (True, None) or (False, witness) with witness keys
-    "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes.
+    "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes,
+    the first by vertices ascending, then by edge indexes ascending.
     """
     index = h.pair_index()
     pair_edges, nbrs = index.edges_of, index.nbrs
+    if not any(
+        len(nbrs[a] & nbrs[b]) > len(e) - 2
+        for e in h.edges
+        for a, b in combinations(e, 2)
+    ):
+        return True, None
     for (a, b) in sorted(pair_edges):
-        common = sorted(nbrs[a] & nbrs[b])
-        for c in common:
-            if c <= b:
-                # triple {a,b,c} is handled at its two smallest vertices
-                continue
-            e_bc = pair_edges.get((b, c), ())
-            e_ac = pair_edges.get((a, c), ())
-            if not e_bc or not e_ac:
-                continue
-            e_ab = pair_edges[(a, b)]
-            for i1 in e_bc:
-                for i2 in e_ac:
-                    if i2 == i1:
-                        continue
-                    for i3 in e_ab:
-                        if i3 != i1 and i3 != i2:
-                            return False, {
-                                "vertices": (a, b, c),
-                                "edges": (i1, i2, i3),
-                            }
+        # triple {a,b,c} is handled at its two smallest vertices
+        for c in sorted(c for c in nbrs[a] & nbrs[b] if c > b):
+            for i1, i2, i3 in product(
+                pair_edges[(b, c)], pair_edges[(a, c)], pair_edges[(a, b)]
+            ):
+                if i1 != i2 and i3 != i1 and i3 != i2:
+                    return False, {"vertices": (a, b, c), "edges": (i1, i2, i3)}
     return True, None
 
 
@@ -122,19 +126,17 @@ def is_double_linear(
 
 
 def _double_linear_scan(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """is_double_linear on h already known to be linear."""
+    """is_double_linear on h already known to be linear.
+
+    The vertices outside an edge e that see two or more of its vertices
+    are the union of N(a) & N(b) over the pairs a, b of e, minus e.
+    """
     nbrs = h.pair_index().nbrs
     for i, e in enumerate(h.edges):
-        count: dict[int, int] = {}
-        for w in e:
-            for v in nbrs[w]:
-                count[v] = count.get(v, 0) + 1
-        for v in sorted(count):
-            if count[v] < 2:
-                continue
-            nv = nbrs[v]
+        twice = set().union(*(nbrs[a] & nbrs[b] for a, b in combinations(e, 2)))
+        for v in sorted(twice.difference(e)):
             for u in e:
-                if u != v and u not in nv:
+                if u not in nbrs[v]:
                     return False, (u, v, i)
     return True, None
 
@@ -144,24 +146,19 @@ def neighborhood_max_degree(h: Hypergraph) -> int:
 
     The subhypergraph induced by N(u) keeps exactly the edges fully
     contained in N(u); the degree of z there counts those edges through
-    z.  Returns 0 when no edge fits inside any neighborhood.
+    z.  An edge e lies inside N(u) exactly for the u in the intersection
+    of N(v) over v in e.  Returns 0 when no edge fits inside any
+    neighborhood.  That always holds on linear triangle-free input with
+    no one-vertex edge, as an edge inside N(u) closes a triangle through
+    u; double linearity holds there too (acceptance criterion 8).
     """
-    best = 0
     nbrs = h.pair_index().nbrs
-    for u in range(h.n):
-        s = nbrs[u]
-        count: dict[int, int] = {}
-        # an edge inside N(u) goes through some w in N(u); it is counted
-        # once, from its smallest vertex
-        for w in s:
-            for i in h.incident_edges(w):
-                e = h.edges[i]
-                if e[0] == w and all(v in s for v in e):
-                    for z in e:
-                        count[z] = count.get(z, 0) + 1
-        if count:
-            best = max(best, max(count.values()))
-    return best
+    count: dict[tuple[int, int], int] = {}
+    for e in h.edges:
+        for u in nbrs[e[0]].intersection(*(nbrs[v] for v in e[1:])):
+            for z in e:
+                count[u, z] = count.get((u, z), 0) + 1
+    return max(count.values(), default=0)
 
 
 class PropertyReport(NamedTuple):
