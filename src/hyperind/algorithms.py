@@ -256,7 +256,11 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     undecided vertices are taken at once.  Exploration is exclude-first
     so a good incumbent appears on the first descent; with a node budget
     the search stops early and flags the result inexact.
+
+    Raises ValueError when budget is negative.
     """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     n = h.n
     edge_masks = []
     vmask = [0] * n  # vertex -> mask of the indexes of its edges

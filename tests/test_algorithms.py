@@ -243,6 +243,8 @@ def test_exact_alpha_budget():
     ok, _ = hi.verify_independent(hi.fano(), res.independent_set)
     assert ok and len(res.independent_set) == res.alpha
     assert hi.exact_alpha(hi.fano(), budget=10**6).exact
+    with pytest.raises(ValueError):
+        hi.exact_alpha(hi.fano(), budget=-1)
 
 
 @settings(max_examples=30, deadline=None)

@@ -159,6 +159,11 @@ def test_exact_budget_flags_inexact(fano_file, capsys):
     assert json.loads(out)["exact"] is False
 
 
+def test_exact_negative_budget_is_usage_error(fano_file, capsys):
+    code, out, err = run(["exact", fano_file, "--budget", "-1"], capsys)
+    assert code == 2 and out == "" and "budget" in err
+
+
 # --- gen --------------------------------------------------------------------
 
 
@@ -267,6 +272,11 @@ def test_compare_rejects_fano(fano_file, capsys):
 def test_compare_budget_marks_lower_bound(loose_file, capsys):
     _, out, _ = run(["compare", loose_file, "--r", "3", "--budget", "1"], capsys)
     assert "exact=>=" in out
+
+
+def test_compare_negative_budget_is_usage_error(loose_file, capsys):
+    code, out, err = run(["compare", loose_file, "--r", "3", "--budget", "-3"], capsys)
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_compare_large_instance_skips_exact(tmp_path, capsys):
