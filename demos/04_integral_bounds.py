@@ -9,8 +9,8 @@ difference between the sign-corrected and the printed kernels.
 
 import hyperind as hi
 
-# Both integral forms are evaluated to a certified absolute tolerance
-# (default 1e-9, adjustable).
+# Both integral forms stop once their estimated absolute error drops
+# below tol (default 1e-9, adjustable); an estimate, not a proven bound.
 print("li_zang(3, 1, x) and chishti(3, x):")
 for x in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
     lz = hi.li_zang(3, 1, x)

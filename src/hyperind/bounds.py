@@ -9,12 +9,19 @@ Four families of per-vertex weight functions are provided:
 * ``shearer_s1`` -- the closed-form graph (r = 2) bound; at r = 2
   ``potential_weight`` is the exact graph recurrence, which dominates it.
 * ``li_zang`` / ``chishti`` -- integral-form bounds evaluated by
-  adaptive GL7/GL15 Gauss-Legendre quadrature with certified tolerance,
-  in the standard library alone (rules computed at import, fsum sums).
+  adaptive GL7/GL15 Gauss-Legendre quadrature, in the standard library
+  alone (rules computed at import, fsum sums).
   Panels are dyadic halvings of [0, 1], so every degree visits the same
   panel nodes; the values there that do not depend on the degree are
   kept in bounded caches and shared across calls, and a bound table
   pays for each panel's powers once.
+
+The quadrature is not certified.  It stops once an error *estimate*,
+the summed |GL15 - GL7| over its panels, drops below tol; that is not a
+bound on the true error.  So a six-decimal table cell can be misrounded:
+the d_max 400 table prints f_LZ(r=4, m=1, d=369) as 0.043747, where the
+true value 0.0437464998537 rounds to 0.043746.  ROADMAP item 2 plans a
+closed form with a proven error bound.
 
 The integral kernels are implemented with a "+" sign in the denominator
 (``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``).  The widely reprinted "-"
@@ -282,10 +289,11 @@ def li_zang(
     that form has a pole at t = m/(x-m) inside (0,1) whenever x > 2m
     and NonConvergent is raised there.  At x = 2m the pole sits at the
     endpoint t = 1, where the integrand grows like (1-t)^(a/m - 1)
-    without bound and the quadrature cannot certify tol, so
+    without bound and the quadrature cannot reach tol, so
     NonConvergent is raised there too unless a/m = 1 (r = 2, m = 1).
 
-    |result - true value| <= tol on success.
+    On success the estimated error is at most tol.  This is an estimate,
+    not a bound on |result - true value| (see the module docstring).
     """
     _check_r(r)
     if not isinstance(m, int) or m < 1:
@@ -329,7 +337,8 @@ def chishti(r: int, x: Real, tol: float = 1e-9, kernel: str = "corrected") -> fl
     exact 1.0 at x = 0, and kernel="printed" flips the denominator sign
     (pole inside (0,1) for x > 2/(r-1), raising NonConvergent).
 
-    |result - true value| <= tol on success.
+    On success the estimated error is at most tol.  This is an estimate,
+    not a bound on |result - true value| (see the module docstring).
     """
     _check_r(r)
     _check_tol(tol)
@@ -382,7 +391,8 @@ def caro_tuza_total(h: Hypergraph, r: int) -> Fraction:
 def chishti_bound(h: Hypergraph, r: int, tol: float = 1e-9) -> float:
     """n times the chishti value at the average degree.
 
-    |result - true value| <= n * tol.  Raises EmptyHypergraph for n = 0.
+    The estimated error is at most n * tol, an estimate as in chishti,
+    not a bound.  Raises EmptyHypergraph for n = 0.
     """
     _check_r(r)
     if h.n == 0:
@@ -396,7 +406,11 @@ def chishti_bound(h: Hypergraph, r: int, tol: float = 1e-9) -> float:
 
 
 class BoundValue(NamedTuple):
-    """One evaluated bound: exact Fraction or float with |error| <= error."""
+    """One evaluated bound: an exact Fraction with error 0.0, or a float.
+
+    For a float, error is the tol its quadrature estimated itself to
+    meet; it is not a proven bound on the true error.
+    """
 
     kind: str
     r: int

@@ -57,7 +57,7 @@ class NegativeDegree(HyperindError):
 
 
 class NonConvergent(HyperindError):
-    """Numerical integration could not certify the requested tolerance."""
+    """Numerical integration could not bring its error estimate below tol."""
 
 
 class InvalidSlot(HyperindError):

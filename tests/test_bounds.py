@@ -137,7 +137,7 @@ def test_domain_errors():
 
 
 def test_li_zang_pins():
-    # default tol certifies 1e-9; a tighter call must land on the pin
+    # default tol aims at 1e-9; a tighter call must land on the pin
     assert hi.li_zang(3, 1, 5) == pytest.approx(PIN_LI_ZANG_3_1_5, abs=1e-9)
     assert hi.li_zang(3, 1, 5, tol=1e-13) == pytest.approx(
         PIN_LI_ZANG_3_1_5, abs=1e-13
