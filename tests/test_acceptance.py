@@ -27,7 +27,9 @@ criteria, with their tolerances and runtime budgets:
 8. triangle-freeness is equivalent to (double linearity and
    neighborhood max degree < 1) on every uniform linear corpus instance;
 9. every CLI command is byte-deterministic, including under
-   HYPERIND_THREADS in {1,4} and across processes.
+   HYPERIND_THREADS in {1,4} and across processes: each subcommand
+   prints the same stdout in fresh processes under PYTHONHASHSEED in
+   {0, 1, 4242} as in-process.
 """
 
 from __future__ import annotations
@@ -269,6 +271,7 @@ def test_criterion_9_cli_determinism(tmp_path, capsys, monkeypatch):
         ["compare", str(loose), "--r", "3"],
     ]
     stable = 0
+    in_process = []
     for argv in commands:
         outs = set()
         for _ in range(2):
@@ -276,6 +279,20 @@ def test_criterion_9_cli_determinism(tmp_path, capsys, monkeypatch):
             outs.add((code, capsys.readouterr().out))
         if len(outs) == 1:
             stable += 1
+        in_process.append(outs)
+    # fresh processes under several hash seeds must print the same bytes
+    hash_stable = 0
+    for argv, outs in zip(commands, in_process):
+        for hash_seed in ("0", "1", "4242"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "hyperind", *argv],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            )
+            outs.add((proc.returncode, proc.stdout))
+        if len(outs) == 1:
+            hash_stable += 1
     # thread count must not change a single byte
     main(["bounds-table", "--r", "4", "--d-max", "15"])
     base = capsys.readouterr().out
@@ -296,8 +313,9 @@ def test_criterion_9_cli_determinism(tmp_path, capsys, monkeypatch):
     process_ok = proc.returncode == 0 and proc.stdout == base
     _crit(
         9,
-        stable == len(commands) and threads_ok and process_ok,
+        stable == len(commands) == hash_stable and threads_ok and process_ok,
         f"{stable}/{len(commands)} subcommands byte-identical across repeated "
-        f"runs; HYPERIND_THREADS in {{1,4}} identical: {threads_ok}; "
-        f"fresh-process output identical: {process_ok}",
+        f"runs; {hash_stable}/{len(commands)} identical in fresh processes "
+        f"under PYTHONHASHSEED in {{0,1,4242}}; HYPERIND_THREADS in {{1,4}} "
+        f"identical: {threads_ok}; fresh-process output identical: {process_ok}",
     )
