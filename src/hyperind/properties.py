@@ -99,7 +99,7 @@ def is_triangle_free(
         return True, None
     for (a, b) in sorted(pair_edges):
         # triple {a,b,c} is handled at its two smallest vertices
-        for c in sorted(c for c in nbrs[a] & nbrs[b] if c > b):
+        for c in sorted(w for w in nbrs[a] & nbrs[b] if w > b):
             for i1, i2, i3 in product(
                 pair_edges[(b, c)], pair_edges[(a, c)], pair_edges[(a, b)]
             ):

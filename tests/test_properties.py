@@ -128,7 +128,7 @@ def test_is_triangle_free_witness_matches_oracle(h):
     "edges, witness",
     [
         # the smallest pair {0,1} has only e - {0,1} = {2} in common, so
-        # only the pair {1,2} of edge {0,1,2} sees a neighbor outside it
+        # the screen must catch a later pair of edge {0,1,2}
         ([(0, 1, 2), (1, 2, 3), (0, 2, 4)], ((0, 1, 2), (2, 1, 0))),
         # all three edges contain the whole triangle {0,1,2}
         ([(0, 1, 2), (0, 1, 2, 3), (0, 1, 2, 4)], ((0, 1, 2), (0, 1, 2))),
