@@ -27,7 +27,6 @@ _EXPORTS = {
         "format_hg",
         "parse_hg",
         "read_hg",
-        "remove",
         "slot_partition",
         "write_hg",
     ),
@@ -63,7 +62,6 @@ _EXPORTS = {
         "AlphaResult",
         "ExtractionCertificate",
         "Step",
-        "candidate_delta",
         "exact_alpha",
         "greedy_extract",
         "verify_independent",

@@ -17,17 +17,14 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Collection, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
-from .core import Hypergraph, slot_partition
-from .errors import HypothesisViolated, InvalidSlot
-from .bounds import as_ratio, potential, potential_weight
-from .properties import has_uniformity, is_linear, is_triangle_free
+from .core import Hypergraph
+from .errors import HypothesisViolated
 
 __all__ = [
     "Step",
     "ExtractionCertificate",
-    "candidate_delta",
     "greedy_extract",
     "AlphaResult",
     "exact_alpha",
@@ -64,6 +61,8 @@ class ExtractionCertificate(NamedTuple):
     r: int
 
     def to_json(self) -> str:
+        from .bounds import as_ratio
+
         payload = {
             "independent_set": list(self.independent_set),
             "guarantee": as_ratio(self.guarantee),
@@ -79,21 +78,19 @@ class ExtractionCertificate(NamedTuple):
 class _Residual:
     """Live incident-edge sets in original vertex ids, plus a weight table.
 
-    Only the given vertices get an edge set (the others hold None): the
-    greedy passes all of them, candidate_delta only those within one
-    edge of the candidate.  The weights w(0..max degree) are scaled by
-    L, the lcm of their denominators, so W[d] = w(d) * L is an int and
-    delta returns the exact step delta times L as an int; only a chosen
-    step's delta becomes a Fraction.
+    The weights w(0..max degree) are scaled by L, the lcm of their
+    denominators, so W[d] = w(d) * L is an int and delta returns the
+    exact step delta times L as an int; only a chosen step's delta
+    becomes a Fraction.
     """
 
-    def __init__(self, h: Hypergraph, r: int, vertices: Collection[int]):
+    def __init__(self, h: Hypergraph, r: int):
+        from .bounds import potential_weight
+
         self.edges = h.edges
         self.r = r
-        self.inc: list[Optional[set[int]]] = [None] * h.n
-        for v in vertices:
-            self.inc[v] = set(h.incident_edges(v))
-        top = max((len(self.inc[v]) for v in vertices), default=0)
+        self.inc = [set(h.incident_edges(v)) for v in range(h.n)]
+        top = max(map(len, self.inc), default=0)
         w = [potential_weight(r, d) for d in range(top + 1)]
         self.scale = math.lcm(*(f.denominator for f in w))
         self.W = [f.numerator * (self.scale // f.denominator) for f in w]
@@ -140,31 +137,6 @@ class _Residual:
                 self.inc[v].discard(i)
 
 
-def candidate_delta(h: Hypergraph, r: int, x: int, slot: Iterable[int]) -> Fraction:
-    """Exact potential change of removing {x} union slot and keeping x.
-
-    slot must be one of the slots of x (the empty set when x is
-    isolated); InvalidSlot is raised otherwise.  The value comes from
-    the degree drops the removal causes, which is exact on any input.
-    """
-    h._check_vertex(x)
-    rset = frozenset(slot)
-    for v in rset:
-        h._check_vertex(v)
-    if h.degree(x) == 0:
-        slots = (frozenset(),)  # the empty pseudo-slot
-    else:
-        slots = slot_partition(h, x, r).slots
-    if rset not in slots:
-        raise InvalidSlot(f"{sorted(rset)} is not a slot of vertex {x}")
-    # delta reads the degrees of S = {x} | slot and of the vertices
-    # sharing an edge with S, and nothing else
-    s = {x, *rset}
-    near = s.union(*(h.edges[i] for v in s for i in h.incident_edges(v)))
-    res = _Residual(h, r, near)
-    return Fraction(res.delta(x, rset), res.scale)
-
-
 def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCertificate:
     """Extract an independent set with an exact step-by-step certificate.
 
@@ -182,6 +154,9 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
     Raises HypothesisViolated when a precondition fails (and unsafe is
     not set).
     """
+    from .bounds import potential
+    from .properties import has_uniformity, is_linear, is_triangle_free
+
     guarantee = potential(h, r)  # validates r
     if not unsafe:
         if not has_uniformity(h, r):
@@ -194,7 +169,7 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
             raise HypothesisViolated(
                 f"input has a triangle (vertices {twit['vertices']})"
             )
-    res = _Residual(h, r, range(h.n))
+    res = _Residual(h, r)
     alive = list(range(h.n))
     pot = guarantee
     steps: list[Step] = []

@@ -3,8 +3,8 @@
 A hypergraph has vertex set {0, ..., n-1} and a family of edges, each a set
 of vertices.  Edges are canonicalized on construction: vertices within an
 edge ascending, the edge list in ascending lexicographic order, duplicate
-edges collapsed.  Instances are treated as immutable; every mutating
-operation returns a new object.
+edges collapsed.  Instances are treated as immutable: nothing in the
+package changes a Hypergraph after construction.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "Hypergraph",
     "PairIndex",
     "SlotPartition",
-    "remove",
     "slot_partition",
     "parse_hg",
     "format_hg",
@@ -157,32 +156,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, m={self.m})"
-
-
-def remove(h: Hypergraph, xs: Iterable[int]) -> tuple[Hypergraph, dict[int, int]]:
-    """Delete the vertices in xs and every edge meeting them.
-
-    Surviving vertices are re-indexed to 0..n'-1 preserving order; the
-    second return value maps old ids to new ids.  Vertices isolated by
-    the deletion stay in the result.  remove(h, []) is h under the
-    identity map.
-
-    Raises InvalidVertex when xs is not a subset of the vertex set.
-    """
-    gone = set()
-    for x in xs:
-        h._check_vertex(x)
-        gone.add(x)
-    old_to_new: dict[int, int] = {}
-    for u in range(h.n):
-        if u not in gone:
-            old_to_new[u] = len(old_to_new)
-    kept = [
-        tuple(old_to_new[v] for v in e)
-        for e in h.edges
-        if not gone.intersection(e)
-    ]
-    return Hypergraph(len(old_to_new), kept), old_to_new
 
 
 class SlotPartition(NamedTuple):

@@ -13,7 +13,6 @@ __all__ = [
     "BadUniformity",
     "NegativeDegree",
     "NonConvergent",
-    "InvalidSlot",
     "HypothesisViolated",
     "BadSpec",
     "HgFormatError",
@@ -58,10 +57,6 @@ class NegativeDegree(HyperindError):
 
 class NonConvergent(HyperindError):
     """Numerical integration could not bring its error estimate below tol."""
-
-
-class InvalidSlot(HyperindError):
-    """The candidate set is not a slot of the vertex's slot partition."""
 
 
 class HypothesisViolated(HyperindError):

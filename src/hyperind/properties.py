@@ -209,7 +209,9 @@ def property_report(h: Hypergraph) -> PropertyReport:
             "vertices": list(tri_wit["vertices"]),
             "edges": list(tri_wit["edges"]),
         }
-    if linear:
+    if linear and tri_free:
+        double = True  # a violation (u, v, e) closes a triangle on v and e
+    elif linear:
         double, dl_wit = _double_linear_scan(h)
         if dl_wit is not None:
             u, v, i = dl_wit

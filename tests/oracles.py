@@ -11,16 +11,20 @@ against every neighborhood instead of only the edges near it, the
 recurrence oracles
 iterate in high-precision floating point instead of exact rationals
 (the graph recurrence, which must match exactly, solves its own
-difference equation), the reference greedy recounts every degree
-and every potential from plain edge lists at every step, and the
-subset unranker walks every vertex in turn instead of binary
-searching.  Agreement between such different routes is the point.
+difference equation), the candidate-delta oracle reference_delta
+takes the whole potential before and after a removal, and the
+reference greedy does so at every step, both recounting every degree
+from plain edge lists instead of the greedy's live incident sets and
+scaled weights, and the subset unranker walks every vertex in turn
+instead of binary searching.  Agreement between such different routes
+is the point.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import mpmath as mp
@@ -308,8 +312,37 @@ def lex_unrank_subset(index: int, n: int, r: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# reference greedy: everything recounted from plain edge lists
+# reference delta and greedy: everything recounted from plain edge lists
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _weight(r: int, d: int) -> Fraction:
+    """w(0) = 1 and w(d) = (1 + ((r-1)d^2 - d) w(d-1)) / (1 + (r-1)d^2)."""
+    if d == 0:
+        return Fraction(1)
+    c = (r - 1) * d * d
+    return (1 + (c - d) * _weight(r, d - 1)) / (1 + c)
+
+
+def _potential(r: int, verts: set, edges: list) -> Fraction:
+    """Sum of w(degree) over verts, degrees counted in the edge list."""
+    return sum(
+        (_weight(r, sum(1 for e in edges if v in e)) for v in verts), Fraction(0)
+    )
+
+
+def reference_delta(h: Hypergraph, r: int, x: int, slot) -> Fraction:
+    """1 + potential(H - S) - potential(H) for S = {x} u slot, by definition.
+
+    H - S drops the vertices of S and every edge meeting S; both
+    potentials are recounted over the whole vertex and edge lists.
+    """
+    gone = {x, *slot}
+    verts = set(range(h.n))
+    edges = [frozenset(e) for e in h.edges]
+    rest = [e for e in edges if not e & gone]
+    return 1 + _potential(r, verts - gone, rest) - _potential(r, verts, edges)
 
 
 def reference_greedy(h: Hypergraph, r: int) -> tuple[Step, ...]:
@@ -323,29 +356,15 @@ def reference_greedy(h: Hypergraph, r: int) -> tuple[Step, ...]:
     live edge list for every candidate, and after each step the
     residual must still be r-uniform, linear and triangle-free.
     """
-    weights = [Fraction(1)]
-
-    def weight(d: int) -> Fraction:
-        while len(weights) <= d:
-            k = len(weights)
-            c = (r - 1) * k * k
-            weights.append((1 + (c - k) * weights[-1]) / (1 + c))
-        return weights[d]
-
-    def phi(verts: set, edges: list) -> Fraction:
-        return sum(
-            (weight(sum(1 for e in edges if v in e)) for v in verts), Fraction(0)
-        )
-
     verts = set(range(h.n))
     edges = [frozenset(e) for e in h.edges]
     steps = []
     while verts:
-        before = phi(verts, edges)
+        before = _potential(r, verts, edges)
         isolated = [v for v in sorted(verts) if not any(v in e for e in edges)]
         if isolated:
             x, slot = isolated[0], ()
-            after = phi(verts - {x}, edges)
+            after = _potential(r, verts - {x}, edges)
         else:
             best = None
             for x in sorted(verts):
@@ -357,7 +376,7 @@ def reference_greedy(h: Hypergraph, r: int) -> tuple[Step, ...]:
                 for rset in slots:
                     gone = rset | {x}
                     rest = [e for e in edges if not e & gone]
-                    delta = 1 + phi(verts - gone, rest) - before
+                    delta = 1 + _potential(r, verts - gone, rest) - before
                     if best is None or delta > best[0]:
                         best = (delta, x, tuple(sorted(rset)))
             delta, x, slot = best

@@ -10,8 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperind as hi
-from hyperind.errors import HypothesisViolated, InvalidSlot, InvalidVertex
-from oracles import enumerate_alpha, reference_greedy
+from hyperind.algorithms import _Residual
+from hyperind.errors import HypothesisViolated, InvalidVertex
+from oracles import enumerate_alpha, reference_delta, reference_greedy
 from strategies import instances, raw_hypergraphs
 from test_golden_certificates import first_complete
 
@@ -20,33 +21,24 @@ SINGLE = hi.Hypergraph(3, [(0, 1, 2)])
 
 
 # --- candidate deltas -------------------------------------------------------
+# reference_delta is the definition; the greedy's own deltas meet it
+# here for single candidates and through reference_greedy for whole runs
 
 
 def test_candidate_delta_single_edge():
     # 1 + f(0) - 3 f(1) = 1 + 1 - 2 = 0
-    assert hi.candidate_delta(SINGLE, 3, 0, {1}) == 0
-    assert hi.candidate_delta(SINGLE, 3, 0, {2}) == 0
+    assert reference_delta(SINGLE, 3, 0, {1}) == 0
+    assert reference_delta(SINGLE, 3, 0, {2}) == 0
 
 
 def test_candidate_delta_isolated_pseudo_candidate():
     h = hi.Hypergraph(4, [(0, 1, 2)])
-    assert hi.candidate_delta(h, 3, 3, ()) == 0
+    assert reference_delta(h, 3, 3, ()) == 0
 
 
 def test_candidate_delta_loose_path_pin():
-    assert hi.candidate_delta(LOOSE, 3, 2, {0, 3}) == Fraction(-2, 9)
-    assert hi.candidate_delta(LOOSE, 3, 0, {2}) == Fraction(7, 9)
-
-
-def test_candidate_delta_bad_slots():
-    with pytest.raises(InvalidSlot):
-        hi.candidate_delta(LOOSE, 3, 2, {0, 4})  # mixes the two slots
-    with pytest.raises(InvalidSlot):
-        hi.candidate_delta(LOOSE, 3, 2, {0})  # too small
-    with pytest.raises(InvalidSlot):
-        hi.candidate_delta(hi.Hypergraph(4, [(0, 1, 2)]), 3, 3, {0})  # isolated
-    with pytest.raises(InvalidVertex):
-        hi.candidate_delta(LOOSE, 3, 9, {0, 3})
+    assert reference_delta(LOOSE, 3, 2, {0, 3}) == Fraction(-2, 9)
+    assert reference_delta(LOOSE, 3, 0, {2}) == Fraction(7, 9)
 
 
 def _candidates(h, r):
@@ -56,7 +48,7 @@ def _candidates(h, r):
     for x in range(h.n):
         slots = hi.slot_partition(h, x, r).slots if h.degree(x) else (frozenset(),)
         for j, rset in enumerate(slots):
-            out.append((x, j, rset, hi.candidate_delta(h, r, x, rset)))
+            out.append((x, j, rset, reference_delta(h, r, x, rset)))
     return out
 
 
@@ -75,12 +67,12 @@ def test_candidate_deltas_loose_path():
 @settings(max_examples=60, deadline=None)
 @given(instances(n_max=16), st.data())
 def test_candidate_delta_is_potential_change(hr, data):
-    # candidate_delta looks only near the candidate; the definition
-    # needs the potential of the whole graph before and after
+    # the greedy counts degree drops near the candidate; the oracle
+    # takes the potential of the whole graph before and after
     h, r = hr
     x, _, rset, delta = data.draw(st.sampled_from(_candidates(h, r)))
-    rest, _ = hi.remove(h, {x, *rset})
-    assert delta == 1 + hi.potential(rest, r) - hi.potential(h, r)
+    res = _Residual(h, r)
+    assert Fraction(res.delta(x, rset), res.scale) == delta
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,6 +82,17 @@ def test_max_candidate_delta_non_negative(hr):
     cands = _candidates(h, r)
     assert cands  # every vertex yields at least a pseudo-candidate
     assert max(d for _, _, _, d in cands) >= 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances())
+def test_greedy_slots_match_slot_partition(hr):
+    # one slot rule: the greedy's, on all edges live, is slot_partition's
+    h, r = hr
+    res = _Residual(h, r)
+    for x in range(h.n):
+        if h.degree(x):
+            assert res.slots(x) == list(hi.slot_partition(h, x, r).slots)
 
 
 # --- greedy extraction ------------------------------------------------------

@@ -313,7 +313,10 @@ SUBCOMMAND_IMPORTS = {
     "gen": (("gen", "--family", "loose_path", "--r", "3", "--m", "3", "-o", "{out}"), ()),
     "check": (("check", "{in}", "-o", "{out}"), ("hyperind.bounds", "hyperind.algorithms")),
     "extract": (("extract", "{in}", "--r", "3", "-o", "{out}"), ()),
-    "exact": (("exact", "{in}", "-o", "{out}"), ()),
+    "exact": (
+        ("exact", "{in}", "-o", "{out}"),
+        ("hyperind.bounds", "hyperind.properties"),
+    ),
     "bounds-table": (
         ("bounds-table", "--r", "3", "--d-max", "3", "-o", "{out}"),
         ("hyperind.properties", "hyperind.algorithms"),

@@ -110,49 +110,6 @@ def test_eq_hash_repr():
     assert repr(a) == "Hypergraph(n=5, m=2)"
 
 
-# --- remove -----------------------------------------------------------------
-
-
-def test_remove_examples():
-    g, mapping = hi.remove(hi.Hypergraph(3, [(0, 1, 2)]), [0])
-    assert (g.n, g.m) == (2, 0)
-    assert mapping == {1: 0, 2: 1}
-
-    g, _ = hi.remove(LOOSE, [2])
-    assert (g.n, g.m) == (4, 0)  # both edges meet vertex 2
-
-    g, mapping = hi.remove(LOOSE, [4])
-    assert (g.n, g.m) == (4, 1)
-    assert g.edges == ((0, 1, 2),)
-    assert mapping == {0: 0, 1: 1, 2: 2, 3: 3}
-
-
-def test_remove_noop_and_errors():
-    g, mapping = hi.remove(LOOSE, [])
-    assert g == LOOSE and mapping == {u: u for u in range(5)}
-    g, _ = hi.remove(LOOSE, [1, 1])  # duplicates are fine
-    assert g.n == 4
-    with pytest.raises(InvalidVertex):
-        hi.remove(LOOSE, [7])
-
-
-@settings(max_examples=60)
-@given(raw_hypergraphs(), st.data())
-def test_remove_consistency(h, data):
-    xs = data.draw(
-        st.lists(st.integers(0, h.n - 1), unique=True, max_size=h.n)
-    )
-    g, mapping = hi.remove(h, xs)
-    assert g.n == h.n - len(xs)
-    # order-preserving bijection from survivors onto 0..n'-1
-    survivors = sorted(set(range(h.n)) - set(xs))
-    assert [mapping[u] for u in survivors] == list(range(g.n))
-    # surviving edges are exactly those disjoint from xs
-    inv = {new: old for old, new in mapping.items()}
-    back = {tuple(sorted(inv[v] for v in e)) for e in g.edges}
-    assert back == {e for e in h.edges if not set(e) & set(xs)}
-
-
 # --- slot partitions --------------------------------------------------------
 
 

@@ -263,6 +263,19 @@ def test_report_non_linear():
     assert len(wit["shared"]) >= 2
 
 
+@settings(max_examples=200)
+@given(raw_hypergraphs())
+def test_report_double_linear_matches_predicate(h):
+    # the report skips the scan on linear triangle-free input
+    if not hi.is_linear(h)[0]:
+        return
+    ok, wit = hi.is_double_linear(h)
+    rep = hi.property_report(h)
+    assert rep.double_linear == ok
+    got = (rep.witness or {}).get("double_linear")
+    assert got == (None if wit is None else dict(zip(("u", "v", "edge"), wit)))
+
+
 def test_report_runs_is_linear_once(monkeypatch):
     calls = []
     is_linear = hi.properties.is_linear
