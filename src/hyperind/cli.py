@@ -14,7 +14,7 @@ import json
 import sys
 from typing import Optional
 
-from .core import format_hg, read_hg
+from .core import FAMILIES, format_hg, read_hg
 from .errors import (
     BadSpec,
     BadUniformity,
@@ -24,9 +24,6 @@ from .errors import (
     InvalidVertex,
     NegativeDegree,
 )
-# argparse needs FAMILIES to build the parser, so generators and the core
-# it imports load in every process; each cmd_* imports the rest it calls
-from .generators import FAMILIES, InstanceSpec, generate
 
 __all__ = ["main"]
 
@@ -109,6 +106,8 @@ def cmd_exact(args: argparse.Namespace) -> int:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import InstanceSpec, generate
+
     spec = InstanceSpec(
         family=args.family, n=args.n, r=args.r, m=args.m, seed=args.seed
     )

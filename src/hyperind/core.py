@@ -35,6 +35,10 @@ __all__ = [
     "write_hg",
 ]
 
+# the generator families; defined here so the CLI parser can offer them
+# without loading the generators module
+FAMILIES = ("random", "loose_path", "loose_cycle", "matching", "fano")
+
 
 class PairIndex:
     """Vertex pairs a < b mapped to the edges containing them, and neighbourhoods.

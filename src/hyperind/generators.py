@@ -7,25 +7,26 @@ into an r-subset lexicographically, so a (seed, n, r) triple pins the
 whole candidate stream; rejected candidates consume their draw.
 
 Unranking follows the combinatorial number system (Knuth, TAOCP 4A,
-7.2.1.3): each of the r elements is found by a binary search on a
-difference of two binomials, so a draw costs O(r log n) calls to
-math.comb rather than one per vertex.  A draw reduced modulo C(n, r)
-reaches every rank only while C(n, r) <= 2^64, so larger candidate
-spaces are refused with BadSpec instead of silently sampling a prefix
-of them.  Below that limit the reduction is close to uniform but not
-exactly: with q = floor(2^64 / C(n, r)), every rank is hit by q or q+1
-of the 2^64 draws, so each candidate's probability is within a factor
-1 + 1/q of uniform.
+7.2.1.3): each of the r elements is the root of a binomial C(y, k)
+against the remaining count, guessed in floating point and settled by
+exact math.comb comparisons, so a draw typically costs 2r - 1 calls to
+comb, O(r log n) at worst, rather than one per vertex.  A draw reduced
+modulo C(n, r) reaches every rank only while C(n, r) <= 2^64, so larger
+candidate spaces are refused with BadSpec instead of silently sampling
+a prefix of them.  Below that limit the reduction is close to uniform
+but not exactly: with q = floor(2^64 / C(n, r)), every rank is hit by q
+or q+1 of the 2^64 draws, so each candidate's probability is within a
+factor 1 + 1/q of uniform.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import combinations
-from math import comb
+from math import ceil, comb, exp, lgamma, log
 from typing import NamedTuple
 
-from .core import Hypergraph, PairIndex
+from .core import FAMILIES, Hypergraph
 from .errors import BadSpec
 
 __all__ = [
@@ -39,8 +40,6 @@ __all__ = [
     "generate",
     "FAMILIES",
 ]
-
-FAMILIES = ("random", "loose_path", "loose_cycle", "matching", "fano")
 
 _M64 = (1 << 64) - 1
 
@@ -63,31 +62,56 @@ class SplitMix64:
 def _unrank_subset(index: int, n: int, r: int) -> tuple[int, ...]:
     """index-th r-subset of {0..n-1} in lexicographic order.
 
-    With s the first vertex still free and k elements still needed, the
-    subsets of {s..n-1} whose next element lies below v number
-    C(n-s, k) - C(n-v, k) (hockey-stick identity).  The next element is
-    the largest v in [s, n-k] for which that count is at most index; a
-    binary search finds it with about log2(n) calls to comb, then the
-    count is subtracted from index and s = v+1, k = k-1.  Requires
-    0 <= index < C(n, r).
+    With k elements still needed and the next one free to be v or
+    later, the subsets left number C(n-v, k) (hockey-stick identity).
+    So with t the number of subsets from the current rank to the end,
+    at first t = C(n, r) - index, the next element is n - y for the
+    smallest y with C(y, k) >= t, and t then drops by C(y-1, k), the
+    subsets passed over.  C(y, k) is close to (y - (k-1)/2)^k / k!, so
+    its root guesses y; two exact comb comparisons confirm the guess or
+    its neighbour, and a bisection takes over when both miss.  A draw
+    thus costs about 2r - 1 calls to comb, and O(r log n) at worst.
+    The last element needs none: C(y, 1) = y, so y = t.  Requires
+    1 <= r <= n and 0 <= index < C(n, r).
     """
     out = []
-    s = 0
-    for k in range(r, 0, -1):
-        top = comb(n - s, k)
-        # invariant: the count below lo, top - comb(n - lo, k), is <= index
-        lo, hi, below = s, n - k, 0
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            count = top - comb(n - mid, k)
-            if count <= index:
-                lo, below = mid, count
+    t = comb(n, r) - index
+    hi = n
+    for k in range(r, 1, -1):
+        # the answer lies in [k, hi]: C(hi, k) >= t
+        y = ceil(exp((log(t) + lgamma(k + 1)) / k) + (k - 1) / 2)
+        y = k if y < k else hi if y > hi else y
+        c = comb(y, k)
+        if c >= t:  # the answer is y, or below it
+            below = comb(y - 1, k)
+            if below >= t:
+                y, below = _bisect(t, k, k, y - 1, 0)
+        else:  # the answer is y + 1, or above it
+            below, c = c, comb(y + 1, k)
+            if c >= t:
+                y += 1
             else:
-                hi = mid - 1
-        out.append(lo)
-        index -= below
-        s = lo + 1
+                y, below = _bisect(t, k, y + 2, hi, c)
+        out.append(n - y)
+        t -= below
+        hi = y - 1
+    out.append(n - t)
     return tuple(out)
+
+
+def _bisect(t: int, k: int, lo: int, hi: int, below: int) -> tuple[int, int]:
+    """Smallest y in [lo, hi] with C(y, k) >= t, and C(y-1, k).
+
+    Requires below = C(lo-1, k) < t <= C(hi, k).
+    """
+    while lo < hi:
+        y = (lo + hi) // 2
+        c = comb(y, k)
+        if c >= t:
+            hi = y
+        else:
+            lo, below = y + 1, c
+    return lo, below
 
 
 class InstanceSpec(NamedTuple):
@@ -138,10 +162,11 @@ def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     Candidate r-subsets are drawn one per RNG output, each with
     probability within a factor 1 + 1/floor(2^64 / C(n, r)) of uniform
     (see the module docstring), and accepted exactly when adding them
-    keeps the edge set linear and triangle-free (both checked
-    incrementally).  Sampling stops at spec.m edges, or after
-    50 * spec.m consecutive rejections, in which case the second return
-    value is False and the instance has fewer edges than requested.
+    keeps the edge set linear and triangle-free (both checked on the
+    neighbour sets of the edges accepted so far).  Sampling stops at
+    spec.m edges, or after 50 * spec.m consecutive rejections, in which
+    case the second return value is False and the instance has fewer
+    edges than requested.
 
     Raises BadSpec for invalid parameters, including, with a positive
     edge target, n < r (no candidate exists) and C(n, r) > 2^64 (a
@@ -161,13 +186,15 @@ def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
         )
     rng = SplitMix64(spec.seed)
     edges: list[tuple[int, ...]] = []
-    index = PairIndex(n)
+    nbrs: list[set[int]] = [set() for _ in range(n)]
     rejections = 0
     cap = 50 * m_target
     while len(edges) < m_target and rejections < cap:
         e = _unrank_subset(rng.next() % total, n, r)
-        if _accepts(e, index):
-            index.add(len(edges), e)
+        if _accepts(e, nbrs):
+            for v in e:
+                nbrs[v].update(e)
+                nbrs[v].discard(v)
             edges.append(e)
             rejections = 0
         else:
@@ -175,23 +202,25 @@ def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     return Hypergraph(n, edges), len(edges) == m_target
 
 
-def _accepts(e: tuple[int, ...], index: PairIndex) -> bool:
-    """Whether adding e keeps the indexed (linear) edge set linear and triangle-free."""
-    edges_of, nbrs = index.edges_of, index.nbrs
-    pairs = list(combinations(e, 2))
-    # linearity: no pair of the candidate may already be covered (this
-    # also rejects duplicate edges)
-    if any(pair in edges_of for pair in pairs):
-        return False
-    # triangle-freeness: the candidate would host the pair {a, b} of a
-    # triangle whose other two pairs lie in two distinct existing edges;
-    # on linear input each covered pair lies in exactly one edge
-    for a, b in pairs:
-        for c in nbrs[a] & nbrs[b]:
-            ea = edges_of[(min(a, c), max(a, c))]
-            eb = edges_of[(min(b, c), max(b, c))]
-            if ea != eb:
-                return False
+def _accepts(e: tuple[int, ...], nbrs: list[set[int]]) -> bool:
+    """Whether adding e to a linear triangle-free edge set keeps it so.
+
+    nbrs[v] is the set of vertices that share an edge with v.  e is
+    accepted exactly when every pair a < b of e has b not in N(a) and
+    N(a) and N(b) disjoint.  The first condition is linearity: no pair
+    of e is covered yet, which also rejects a duplicate edge.  Given
+    it, a common neighbour c of a and b always closes a triangle
+    (a, b, c) through e and the edges f through {a, c} and g through
+    {b, c}: f and g are distinct, since one edge holding a, b and c
+    would cover {a, b}; and neither is e, which is not yet added.
+    Conversely a triangle that e would close uses e for one pair
+    {a, b} of its vertices, and its third vertex is then a common
+    neighbour of a and b.
+    """
+    for a, b in combinations(e, 2):
+        na = nbrs[a]
+        if b in na or not na.isdisjoint(nbrs[b]):
+            return False
     return True
 
 

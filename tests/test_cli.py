@@ -234,6 +234,14 @@ def test_unwritable_sidecar_is_usage_error(tmp_path, capsys):
     assert hi.read_hg(str(dest)) == hi.loose_path(2, 3)
 
 
+def test_gen_family_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--family", "steiner"])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "{" + ",".join(hi.FAMILIES) + "}" in err
+
+
 def test_gen_bad_spec(capsys):
     code, _, err = run(
         ["gen", "--family", "random", "--n", "2", "--r", "3", "--m", "1"], capsys
@@ -309,19 +317,22 @@ def test_module_entry_point_matches_in_process(capsys):
 # argv after the subcommand ({in}: a loose-path .hg file, {out}: an output
 # path), and the hyperind modules that process must not load
 SUBCOMMAND_IMPORTS = {
-    "import-cli": ((), ()),
+    "import-cli": ((), ("hyperind.generators",)),
     "gen": (("gen", "--family", "loose_path", "--r", "3", "--m", "3", "-o", "{out}"), ()),
-    "check": (("check", "{in}", "-o", "{out}"), ("hyperind.bounds", "hyperind.algorithms")),
-    "extract": (("extract", "{in}", "--r", "3", "-o", "{out}"), ()),
+    "check": (
+        ("check", "{in}", "-o", "{out}"),
+        ("hyperind.bounds", "hyperind.algorithms", "hyperind.generators"),
+    ),
+    "extract": (("extract", "{in}", "--r", "3", "-o", "{out}"), ("hyperind.generators",)),
     "exact": (
         ("exact", "{in}", "-o", "{out}"),
-        ("hyperind.bounds", "hyperind.properties"),
+        ("hyperind.bounds", "hyperind.properties", "hyperind.generators"),
     ),
     "bounds-table": (
         ("bounds-table", "--r", "3", "--d-max", "3", "-o", "{out}"),
-        ("hyperind.properties", "hyperind.algorithms"),
+        ("hyperind.properties", "hyperind.algorithms", "hyperind.generators"),
     ),
-    "compare": (("compare", "{in}", "--r", "3", "-o", "{out}"), ()),
+    "compare": (("compare", "{in}", "--r", "3", "-o", "{out}"), ("hyperind.generators",)),
 }
 
 # runs main on argv (none: only imports the CLI), then prints the

@@ -7,7 +7,7 @@ from itertools import combinations, count
 from math import ceil, comb, log2
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyperind as hi
 import hyperind.generators as generators
@@ -65,7 +65,7 @@ def ranked_subsets(draw):
     return random.Random(seed).randrange(comb(n, r)), n, r
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(ranked_subsets())
 def test_unrank_subset_matches_oracle(case):
     assert _unrank_subset(*case) == lex_unrank_subset(*case)
@@ -88,6 +88,27 @@ def test_unrank_subset_makes_logarithmically_many_comb_calls(monkeypatch):
         calls = 0
         _unrank_subset(index, n, r)
         assert calls <= r * (ceil(log2(n)) + 2)
+
+
+def test_unrank_subset_typical_cost_is_linear_in_r(monkeypatch):
+    # the root guess settles each element but the last with two comb
+    # calls; bisection needs about r log2(n), 40 at n = 800 and r = 4
+    calls = 0
+
+    def counting_comb(a, b):
+        nonlocal calls
+        calls += 1
+        return comb(a, b)
+
+    monkeypatch.setattr(generators, "comb", counting_comb)
+    rnd = random.Random(0)
+    for n in LARGE_N:
+        for r in range(1, 7):
+            total = comb(n, r)
+            for _ in range(50):
+                calls = 0
+                _unrank_subset(rnd.randrange(total), n, r)
+                assert calls <= 3 * r + 1, (n, r, calls)
 
 
 # --- random family ----------------------------------------------------------
@@ -114,34 +135,47 @@ def test_random_satisfies_hypotheses():
         assert rep.hypotheses_hold() and rep.uniform_r == r
 
 
-def test_random_replay_against_full_predicates():
+@st.composite
+def small_random_specs(draw):
+    r = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(r, 14))
+    m = draw(st.integers(0, 8))
+    seed = draw(st.integers(0, 2**64 - 1))
+    return hi.InstanceSpec("random", n=n, r=r, m=m, seed=seed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_random_specs())
+@example(hi.InstanceSpec("random", n=10, r=3, m=5, seed=0))
+@example(hi.InstanceSpec("random", n=10, r=3, m=5, seed=3))
+@example(hi.InstanceSpec("random", n=9, r=2, m=7, seed=1))
+def test_random_replay_against_full_predicates(spec):
     """Re-run the acceptance decision with the brute predicates.
 
-    The generator accepts a candidate via incremental pair-map checks;
-    this replay instead rebuilds the whole hypergraph per candidate and
-    asks the cubic brute-force oracles.  Identical output means the
-    incremental logic equals the declared acceptance rule.
+    The generator accepts a candidate by checking neighbour sets; this
+    replay instead rebuilds the whole hypergraph per candidate and asks
+    the cubic brute-force oracles.  Identical output means the
+    neighbour-set test equals the declared acceptance rule.
     """
-    for n, r, m, seed in ((10, 3, 5, 0), (10, 3, 5, 3), (9, 2, 7, 1)):
-        spec = hi.InstanceSpec("random", n=n, r=r, m=m, seed=seed)
-        rng = SplitMix64(seed)
-        total = comb(n, r)
-        all_subsets = list(combinations(range(n), r))
-        edges: list[tuple[int, ...]] = []
-        rejections = 0
-        while len(edges) < m and rejections < 50 * m:
-            cand = all_subsets[rng.next() % total]
-            trial = edges + [cand]
-            g = hi.Hypergraph(n, trial)
-            if g.m == len(trial) and brute_linear(g) and brute_triangle_free(g):
-                edges.append(cand)
-                rejections = 0
-            else:
-                rejections += 1
-        replayed = hi.Hypergraph(n, edges)
-        got, complete = hi.random_linear_triangle_free(spec)
-        assert got == replayed
-        assert complete == (len(edges) == m)
+    n, r, m = spec.n, spec.r, spec.m
+    rng = SplitMix64(spec.seed)
+    total = comb(n, r)
+    all_subsets = list(combinations(range(n), r))
+    edges: list[tuple[int, ...]] = []
+    rejections = 0
+    while len(edges) < m and rejections < 50 * m:
+        cand = all_subsets[rng.next() % total]
+        trial = edges + [cand]
+        g = hi.Hypergraph(n, trial)
+        if g.m == len(trial) and brute_linear(g) and brute_triangle_free(g):
+            edges.append(cand)
+            rejections = 0
+        else:
+            rejections += 1
+    replayed = hi.Hypergraph(n, edges)
+    got, complete = hi.random_linear_triangle_free(spec)
+    assert got == replayed
+    assert complete == (len(edges) == m)
 
 
 def test_single_possible_edge():
