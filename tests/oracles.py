@@ -16,7 +16,7 @@ takes the whole potential before and after a removal, and the
 reference greedy does so at every step, both recounting every degree
 from plain edge lists instead of the greedy's live incident sets and
 scaled weights, and the subset unranker walks every vertex in turn
-instead of binary searching.  Agreement between such different routes
+instead of solving for each element's binomial root.  Agreement between such different routes
 is the point.
 """
 
