@@ -323,7 +323,10 @@ SUBCOMMAND_IMPORTS = {
         ("check", "{in}", "-o", "{out}"),
         ("hyperind.bounds", "hyperind.algorithms", "hyperind.generators"),
     ),
-    "extract": (("extract", "{in}", "--r", "3", "-o", "{out}"), ("hyperind.generators",)),
+    "extract": (
+        ("extract", "{in}", "--r", "3", "-o", "{out}"),
+        ("hyperind.generators",),
+    ),
     "exact": (
         ("exact", "{in}", "-o", "{out}"),
         ("hyperind.bounds", "hyperind.properties", "hyperind.generators"),
@@ -332,7 +335,10 @@ SUBCOMMAND_IMPORTS = {
         ("bounds-table", "--r", "3", "--d-max", "3", "-o", "{out}"),
         ("hyperind.properties", "hyperind.algorithms", "hyperind.generators"),
     ),
-    "compare": (("compare", "{in}", "--r", "3", "-o", "{out}"), ("hyperind.generators",)),
+    "compare": (
+        ("compare", "{in}", "--r", "3", "-o", "{out}"),
+        ("hyperind.generators",),
+    ),
 }
 
 # runs main on argv (none: only imports the CLI), then prints the
