@@ -140,7 +140,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cert = greedy_extract(h, args.r)  # enforces the hypotheses
     pot = cert.guarantee
     ct = caro_tuza_total(h, args.r)
-    cz = chishti_bound(h, args.r, tol=args.tol)
+    # the bound averages over the vertices, so it has no value at n = 0
+    cz_txt = f"{chishti_bound(h, args.r, tol=args.tol):.6f}" if h.n else "n/a"
     if h.n <= 30 or args.budget is not None:
         budget = args.budget if args.budget is not None else _DEFAULT_EXACT_BUDGET
         res = exact_alpha(h, budget=budget)
@@ -151,7 +152,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"n={h.n} m={h.m} "
         f"potential={as_ratio(pot)} potential_float={float(pot):.6f} "
         f"caro_tuza={as_ratio(ct)} caro_tuza_float={float(ct):.6f} "
-        f"chishti={cz:.6f} "
+        f"chishti={cz_txt} "
         f"greedy={len(cert.independent_set)} exact={exact_txt}\n"
     )
     _emit(line, args.output)

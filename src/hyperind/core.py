@@ -1,4 +1,4 @@
-"""Hypergraphs on integer vertices, their pair index, slot partitions, the .hg format.
+"""Hypergraphs on integer vertices, neighbourhoods, slot partitions, the .hg format.
 
 A hypergraph has vertex set {0, ..., n-1} and a family of edges, each a set
 of vertices.  Edges are canonicalized on construction: vertices within an
@@ -10,7 +10,6 @@ package changes a Hypergraph after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -26,7 +25,6 @@ from .errors import (
 
 __all__ = [
     "Hypergraph",
-    "PairIndex",
     "SlotPartition",
     "slot_partition",
     "parse_hg",
@@ -40,29 +38,13 @@ __all__ = [
 FAMILIES = ("random", "loose_path", "loose_cycle", "matching", "fano")
 
 
-class PairIndex:
-    """Vertex pairs a < b mapped to the edges containing them, and neighbourhoods.
-
-    edges_of[(a, b)] lists edge indexes in the order added (an uncovered
-    pair has no entry); nbrs[v] holds every vertex sharing an edge with v.
-    """
-
-    __slots__ = ("edges_of", "nbrs")
-
-    def __init__(self, n: int):
-        self.edges_of: dict[tuple[int, int], list[int]] = {}
-        self.nbrs: list[set[int]] = [set() for _ in range(n)]
-
-    def add(self, i: int, e: tuple[int, ...]) -> None:
-        """Record edge i, whose vertices e are ascending."""
-        for a, b in combinations(e, 2):
-            self.edges_of.setdefault((a, b), []).append(i)
-            self.nbrs[a].add(b)
-            self.nbrs[b].add(a)
-
-
 class Hypergraph:
-    """Immutable hypergraph: incidence built eagerly, the pair index on first use.
+    """Immutable hypergraph: incidence built eagerly, neighbourhoods on first use.
+
+    The incidence index lists, for each vertex, the indexes of its edges
+    in ascending order.  The neighbourhoods are one frozenset per vertex,
+    built from that index when a neighbourhood is first asked for; the
+    predicates read both and keep no index of their own.
 
     Parameters
     ----------
@@ -75,7 +57,7 @@ class Hypergraph:
     EmptyEdge : some edge contains no vertices
     """
 
-    __slots__ = ("n", "edges", "_incident", "_pairs")
+    __slots__ = ("n", "edges", "_incident", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
         if n < 0:
@@ -96,7 +78,7 @@ class Hypergraph:
             for v in e:
                 incident[v].append(i)
         self._incident = tuple(tuple(ix) for ix in incident)
-        self._pairs: PairIndex | None = None
+        self._nbrs: tuple[frozenset[int], ...] | None = None
 
     @property
     def m(self) -> int:
@@ -117,21 +99,20 @@ class Hypergraph:
         self._check_vertex(u)
         return self._incident[u]
 
-    def pair_index(self) -> PairIndex:
-        """The PairIndex of .edges with frozenset neighbourhoods; cached, read-only."""
-        if self._pairs is None:
-            index = PairIndex(self.n)
-            for i, e in enumerate(self.edges):
-                index.add(i, e)
-            for v, s in enumerate(index.nbrs):
-                index.nbrs[v] = frozenset(s)  # one at a time: one copy of each
-            self._pairs = index
-        return self._pairs
+    def _neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Every vertex's neighbourhood, indexed by vertex; cached, read-only."""
+        if self._nbrs is None:
+            edges = self.edges
+            self._nbrs = tuple(
+                frozenset([w for i in inc for w in edges[i] if w != v])
+                for v, inc in enumerate(self._incident)
+            )
+        return self._nbrs
 
     def neighborhood(self, u: int) -> frozenset[int]:
         """All vertices sharing an edge with u, excluding u itself."""
         self._check_vertex(u)
-        return self.pair_index().nbrs[u]
+        return self._neighbor_sets()[u]
 
     def average_degree(self) -> Fraction:
         """Mean vertex degree, exact.

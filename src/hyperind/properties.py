@@ -51,19 +51,26 @@ def has_uniformity(h: Hypergraph, r: int) -> bool:
 def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check that any two edges share at most one vertex.
 
+    Decides by the count identity sum_v |N(v)| = sum_e |e|(|e| - 1).
+    The right side counts the ordered pairs (v, w), v != w, once for each
+    edge holding both; the left side counts each such pair once.  So the
+    two agree exactly when no pair lies in two edges.  Only on failure
+    does a scan of each edge's pairs find the witness.
+
     Returns (True, None) or (False, (i, j)) where edges i < j share at
     least two vertices: j is the first edge that repeats a pair, i the
     edge it repeats at its smallest such pair.
     """
-    repeats = [
-        (ix[1], pair, ix[0])
-        for pair, ix in h.pair_index().edges_of.items()
-        if len(ix) > 1
-    ]
-    if not repeats:
+    covered = sum(map(len, h._neighbor_sets()))
+    if covered == sum(len(e) * (len(e) - 1) for e in h.edges):
         return True, None
-    j, _, i = min(repeats)
-    return False, (i, j)
+    first_edge: dict[tuple[int, int], int] = {}
+    for j, e in enumerate(h.edges):
+        for pair in combinations(e, 2):
+            i = first_edge.setdefault(pair, j)
+            if i != j:
+                return False, (i, j)
+    raise AssertionError("pair counts differ but no pair repeats")
 
 
 def is_triangle_free(
@@ -89,20 +96,23 @@ def is_triangle_free(
     "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes,
     the first by vertices ascending, then by edge indexes ascending.
     """
-    index = h.pair_index()
-    pair_edges, nbrs = index.edges_of, index.nbrs
+    nbrs = h._neighbor_sets()
     if not any(
         len(nbrs[a] & nbrs[b]) > len(e) - 2
         for e in h.edges
         for a, b in combinations(e, 2)
     ):
         return True, None
-    for (a, b) in sorted(pair_edges):
+    incident = [set(h.incident_edges(v)) for v in range(h.n)]
+
+    def through(x: int, y: int) -> list[int]:
+        return sorted(incident[x] & incident[y])
+
+    covered = ((a, b) for a in range(h.n) for b in sorted(nbrs[a]) if b > a)
+    for a, b in covered:
         # triple {a,b,c} is handled at its two smallest vertices
         for c in sorted(w for w in nbrs[a] & nbrs[b] if w > b):
-            for i1, i2, i3 in product(
-                pair_edges[(b, c)], pair_edges[(a, c)], pair_edges[(a, b)]
-            ):
+            for i1, i2, i3 in product(through(b, c), through(a, c), through(a, b)):
                 if i1 != i2 and i3 != i1 and i3 != i2:
                     return False, {"vertices": (a, b, c), "edges": (i1, i2, i3)}
     return True, None
@@ -131,7 +141,7 @@ def _double_linear_scan(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int, i
     The vertices outside an edge e that see two or more of its vertices
     are the union of N(a) & N(b) over the pairs a, b of e, minus e.
     """
-    nbrs = h.pair_index().nbrs
+    nbrs = h._neighbor_sets()
     for i, e in enumerate(h.edges):
         twice = set().union(*(nbrs[a] & nbrs[b] for a, b in combinations(e, 2)))
         for v in sorted(twice.difference(e)):
@@ -152,7 +162,7 @@ def neighborhood_max_degree(h: Hypergraph) -> int:
     no one-vertex edge, as an edge inside N(u) closes a triangle through
     u; double linearity holds there too (acceptance criterion 8).
     """
-    nbrs = h.pair_index().nbrs
+    nbrs = h._neighbor_sets()
     count: dict[tuple[int, int], int] = {}
     for e in h.edges:
         for u in nbrs[e[0]].intersection(*(nbrs[v] for v in e[1:])):
@@ -193,6 +203,13 @@ def property_report(h: Hypergraph) -> PropertyReport:
     Witnesses record edges both as indexes and vertex tuples so they can
     be re-verified without the original object.  A non-linear input
     reports double_linear as False (the property presupposes linearity).
+
+    Two scans are skipped where their answer is proven.  On linear
+    triangle-free input, double_linear is True: a violation (u, v, e)
+    closes a triangle on v and two vertices of e.  If, besides, every
+    edge has two or more vertices, nbhd_max_degree is 0: an edge e inside
+    N(u) misses u, and for a != b in e the edges through {u, a}, {u, b}
+    and {a, b} are distinct by linearity, a triangle.
     """
     witness: dict = {}
     uniform_r = is_uniform(h)
@@ -210,7 +227,7 @@ def property_report(h: Hypergraph) -> PropertyReport:
             "edges": list(tri_wit["edges"]),
         }
     if linear and tri_free:
-        double = True  # a violation (u, v, e) closes a triangle on v and e
+        double = True
     elif linear:
         double, dl_wit = _double_linear_scan(h)
         if dl_wit is not None:
@@ -218,11 +235,12 @@ def property_report(h: Hypergraph) -> PropertyReport:
             witness["double_linear"] = {"u": u, "v": v, "edge": i}
     else:
         double = False
+    nbhd_zero = linear and tri_free and all(len(e) > 1 for e in h.edges)
     return PropertyReport(
         uniform_r=uniform_r,
         linear=linear,
         triangle_free=tri_free,
         double_linear=double,
-        nbhd_max_degree=neighborhood_max_degree(h),
+        nbhd_max_degree=0 if nbhd_zero else neighborhood_max_degree(h),
         witness=witness or None,
     )

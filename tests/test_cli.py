@@ -298,6 +298,18 @@ def test_compare_large_instance_skips_exact(tmp_path, capsys):
     assert "exact=n/a" in out
 
 
+def test_compare_zero_vertices(tmp_path, capsys):
+    path = tmp_path / "empty.hg"
+    path.write_bytes(b"0 0\n")
+    code, out, err = run(["compare", str(path), "--r", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert out == (
+        "n=0 m=0 potential=0/1 potential_float=0.000000 "
+        "caro_tuza=0/1 caro_tuza_float=0.000000 chishti=n/a "
+        "greedy=0 exact=0\n"
+    )
+
+
 # --- whole-process invocation ----------------------------------------------
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +18,7 @@ from hyperind.errors import (
     NotLinear,
     NotUniform,
 )
+from oracles import brute_linear
 from strategies import raw_hypergraphs
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
@@ -83,17 +83,8 @@ def test_neighborhood_is_union_of_incident_edges(h):
         union = set().union(*(e for e in h.edges if u in e)) - {u}
         nbhd = h.neighborhood(u)
         assert isinstance(nbhd, frozenset) and nbhd == union
-
-
-@settings(max_examples=200)
-@given(raw_hypergraphs(max_m=12))
-def test_pair_index_lists_every_edge_through_each_pair(h):
-    edges_of = h.pair_index().edges_of
-    for a, b in combinations(range(h.n), 2):
-        through = [i for i, e in enumerate(h.edges) if a in e and b in e]
-        assert edges_of.get((a, b), []) == through
-    assert all(a < b for a, b in edges_of)
-    assert h.pair_index().edges_of is edges_of  # built once, then cached
+        assert h.neighborhood(u) is nbhd  # built once, then cached
+    assert hi.is_linear(h)[0] == brute_linear(h)
 
 
 def test_average_degree_and_histogram():

@@ -290,6 +290,33 @@ def test_report_runs_is_linear_once(monkeypatch):
     assert len(calls) == 1
 
 
+@settings(max_examples=200)
+@given(raw_hypergraphs())
+def test_report_nbhd_max_degree_matches_oracle(h):
+    # the report skips the scan on linear triangle-free input whose
+    # edges all have two or more vertices
+    rep = hi.property_report(h)
+    assert rep.nbhd_max_degree == hi.neighborhood_max_degree(h)
+    assert rep.nbhd_max_degree == brute_nbhd_max_degree(h)
+
+
+def test_report_one_vertex_edge_inside_neighborhood():
+    # N(0) = {1} holds the edge {1}: no triangle, yet degree 1
+    h = hi.Hypergraph(2, [(0, 1), (1,)])
+    rep = hi.property_report(h)
+    assert rep.linear and rep.triangle_free
+    assert rep.nbhd_max_degree == 1
+
+
+def test_report_skips_proven_zero_nbhd_scan(monkeypatch):
+    def refuse(h):
+        raise AssertionError("neighborhood_max_degree ran")
+
+    monkeypatch.setattr(hi.properties, "neighborhood_max_degree", refuse)
+    rep = hi.property_report(hi.loose_cycle(5, 3))
+    assert rep.hypotheses_hold() and rep.nbhd_max_degree == 0
+
+
 def test_report_edgeless_is_vacuously_fine():
     rep = hi.property_report(hi.Hypergraph(3, []))
     assert rep.uniform_r == hi.VACUOUS
