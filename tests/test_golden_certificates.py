@@ -4,9 +4,13 @@ Each group of runs is reduced to one sha256 over every certificate's
 JSON and every step's (x, slot, potential_before, potential_after); the
 digests in golden/certificates.json were recorded before the greedy was
 rewritten around its residual state (large_safe: before it scored
-candidates as scaled integers), and any refactor of the greedy must
+candidates as scaled integers; large_n1600: before it scored each
+vertex's slots together), and any refactor of the greedy must
 leave them unchanged.  A deliberate change to the certificate
-format has to re-record them and say so.
+format has to re-record them and say so.  cli_extract_n3200_r3 is the
+sha256 of the stdout of `hyperind extract big.hg --r 3` on the file of
+`hyperind gen --family random --n 3200 --r 3 --m 3200 --seed 0`, which
+CI checks without the test extras.
 """
 
 from __future__ import annotations
@@ -69,3 +73,10 @@ def test_large_instance_certificates_frozen():
         for n, r in ((800, 3), (400, 4))
     ]
     assert _digest(runs) == GOLDEN["large_safe"]
+
+
+def test_n1600_certificate_frozen():
+    # over a thousand steps: the gate for any change to how the greedy
+    # rescores candidates between steps
+    cert = hi.greedy_extract(first_complete(1600, 3), 3)
+    assert _digest([("random-r3-n1600", cert)]) == GOLDEN["large_n1600"]
