@@ -10,6 +10,18 @@ is largest.  On r-uniform linear triangle-free input the best delta is
 never negative, so the potential drops by at most one per chosen vertex
 and the final independent set has at least ceil(potential) vertices.
 Every step is recorded so the guarantee can be re-audited offline.
+
+The scan scores one vertex at a time.  Removing S = {x} u R deletes
+every live edge meeting S; a vertex z on c_z of them drops from degree
+d_z to d_z - c_z, and every vertex of S drops to degree 0, whose weight
+is 1.  With weights scaled to integers W[d] = L * w(d), that gives
+
+    L * delta = sum over z of (W[d_z - c_z] - W[d_z]) - |R| * L,
+
+summed over the vertices of the deleted edges with no test of which
+lie in S.  The counts over x's own live edges are taken once and shared
+by all r - 1 slots of x; each slot adds only the live edges of its
+vertices that miss x.
 """
 
 from __future__ import annotations
@@ -76,12 +88,16 @@ class ExtractionCertificate(NamedTuple):
 
 
 class _Residual:
-    """Live incident-edge sets in original vertex ids, plus a weight table.
+    """Live incident-edge sets and degrees in original vertex ids, each
+    vertex's slots, and a table of edge-removal gains.
 
     The weights w(0..max degree) are scaled by L, the lcm of their
-    denominators, so W[d] = w(d) * L is an int and delta returns the
-    exact step delta times L as an int; only a chosen step's delta
-    becomes a Fraction.
+    denominators, so W[d] = w(d) * L is an int, and gain[d] =
+    W[d - 1] - W[d] is what a vertex of degree d gains when it loses one
+    edge.  deltas returns the exact step deltas times L as ints; only a
+    chosen step's delta becomes a Fraction.  deg[v] is v's live degree;
+    delete keeps it and inc in step, and drops the cached slots of every
+    vertex whose live edges it changes.
     """
 
     def __init__(self, h: Hypergraph, r: int):
@@ -90,10 +106,13 @@ class _Residual:
         self.edges = h.edges
         self.r = r
         self.inc = [set(h.incident_edges(v)) for v in range(h.n)]
-        top = max(map(len, self.inc), default=0)
+        self.deg = [len(s) for s in self.inc]
+        self._slots: list[Optional[list[set[int]]]] = [None] * h.n
+        top = max(self.deg, default=0)
         w = [potential_weight(r, d) for d in range(top + 1)]
         self.scale = math.lcm(*(f.denominator for f in w))
-        self.W = [f.numerator * (self.scale // f.denominator) for f in w]
+        W = [f.numerator * (self.scale // f.denominator) for f in w]
+        self.gain = [0] + [W[d - 1] - W[d] for d in range(1, top + 1)]
 
     def slots(self, x: int) -> list[set[int]]:
         """Slots of x that each meet every live edge through x.
@@ -102,39 +121,69 @@ class _Residual:
         goes to slot j, and the last one fills the slots a short edge
         leaves over: slot_partition on r-uniform linear input.  A vertex
         on a live one-vertex edge has no slots, so it is never kept.
+        The slots depend on x's live edges only, so they are kept until
+        delete removes one of them.
         """
-        slots: list[set[int]] = [set() for _ in range(self.r - 1)]
-        for i in self.inc[x]:
-            rest = [v for v in self.edges[i] if v != x]
-            if not rest:
-                return []
-            for j, slot in enumerate(slots):
-                slot.add(rest[min(j, len(rest) - 1)])
+        slots = self._slots[x]
+        if slots is None:
+            slots = [set() for _ in range(self.r - 1)]
+            for i in self.inc[x]:
+                rest = [v for v in self.edges[i] if v != x]
+                if not rest:
+                    slots = []
+                    break
+                for j, slot in enumerate(slots):
+                    slot.add(rest[min(j, len(rest) - 1)])
+            self._slots[x] = slots
         return slots
 
-    def delta(self, x: int, rset: Iterable[int]) -> int:
-        """L * (1 + potential(H - S) - potential(H)) for S = {x} | rset.
+    def deltas(self, x: int) -> list[int]:
+        """L * (1 + potential(H - S) - potential(H)) for S = {x} | R, for
+        each slot R of x in slot order.
 
-        Each survivor loses the live edges meeting S that contain it, so
-        the value is exact on any hypergraph, linear or not.
+        By the identity in the module docstring, the value is the sum of
+        W[d_z - c_z] - W[d_z], which is gain[d_z] + ... +
+        gain[d_z - c_z + 1], minus |R| * L.  So deg is lowered in place
+        by one for each (deleted edge, vertex) pair, adding the gain at
+        each degree passed: once over x's live edges for all the slots,
+        then over each slot's other live edges, taken once each, so the
+        value is exact on any hypergraph, linear or not.  deg is
+        restored before returning.
         """
-        s = {x, *rset}
-        W, inc = self.W, self.inc
-        drop: dict[int, int] = {}
-        for i in set().union(*(inc[v] for v in s)):
-            for z in self.edges[i]:
-                drop[z] = drop.get(z, 0) + 1
-        delta = self.scale - sum(W[len(inc[v])] for v in s)
-        for z, c in drop.items():
-            if z not in s:
-                d = len(inc[z])
-                delta += W[d - c] - W[d]
-        return delta
+        gain, deg, inc, edges = self.gain, self.deg, self.inc, self.edges
+        incx = inc[x]
+        shared = 0
+        for i in incx:
+            for z in edges[i]:
+                d = deg[z]
+                shared += gain[d]
+                deg[z] = d - 1
+        out = []
+        for rset in self.slots(x):
+            delta = shared - len(rset) * self.scale
+            extra = set().union(*map(inc.__getitem__, rset))
+            extra -= incx
+            for i in extra:
+                for z in edges[i]:
+                    d = deg[z]
+                    delta += gain[d]
+                    deg[z] = d - 1
+            for i in extra:
+                for z in edges[i]:
+                    deg[z] += 1
+            out.append(delta)
+        for i in incx:
+            for z in edges[i]:
+                deg[z] += 1
+        return out
 
     def delete(self, s: Iterable[int]) -> None:
-        for i in set().union(*(self.inc[v] for v in s)):
+        inc, deg, slots = self.inc, self.deg, self._slots
+        for i in set().union(*(inc[v] for v in s)):
             for v in self.edges[i]:
-                self.inc[v].discard(i)
+                inc[v].discard(i)
+                deg[v] -= 1
+                slots[v] = None
 
 
 def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCertificate:
@@ -173,21 +222,24 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
     alive = list(range(h.n))
     pot = guarantee
     steps: list[Step] = []
+    deg = res.deg
     while True:
-        iso = next((u for u in alive if not res.inc[u]), None)
+        iso = next((u for u in alive if not deg[u]), None)
         if iso is not None:
             # the weight of an isolated vertex is exactly 1
-            best = (0, iso, set())
+            delta, x, rset = 0, iso, set()
         else:
-            # max keeps the first maximum in (x, slot index) order
-            best = max(
-                ((res.delta(x, s), x, s) for x in alive for s in res.slots(x)),
-                key=lambda cand: cand[0],
-                default=None,
-            )
+            # keep the first maximum in (x, slot index) order
+            best = None
+            for u in alive:
+                ds = res.deltas(u)
+                if ds and (best is None or max(ds) > best[0]):
+                    top = max(ds)
+                    best = (top, u, ds.index(top))
             if best is None:
                 break
-        delta, x, rset = best
+            delta, x, j = best
+            rset = res.slots(x)[j]
         after = pot + Fraction(delta, res.scale) - 1
         steps.append(Step(x, tuple(sorted(rset)), pot, after))
         gone = rset | {x}

@@ -13,9 +13,9 @@ iterate in high-precision floating point instead of exact rationals
 (the graph recurrence, which must match exactly, solves its own
 difference equation), the candidate-delta oracle reference_delta
 takes the whole potential before and after a removal, and the
-reference greedy does so at every step, both recounting every degree
-from plain edge lists instead of the greedy's live incident sets and
-scaled weights, and the subset unranker walks every vertex in turn
+reference greedy does so at every step and rebuilds every slot, both
+recounting every degree from plain edge lists instead of the greedy's
+live degrees, cached slots and scaled edge-removal gains, and the subset unranker walks every vertex in turn
 instead of solving for each element's binomial root.  Agreement between such different routes
 is the point.
 """
@@ -345,16 +345,19 @@ def reference_delta(h: Hypergraph, r: int, x: int, slot) -> Fraction:
     return 1 + _potential(r, verts - gone, rest) - _potential(r, verts, edges)
 
 
-def reference_greedy(h: Hypergraph, r: int) -> tuple[Step, ...]:
-    """The certified greedy's steps, re-derived from scratch at every step.
+def reference_greedy(h: Hypergraph, r: int, unsafe: bool = False) -> tuple[Step, ...]:
+    """The greedy's steps, re-derived from scratch at every step.
 
     Takes the smallest isolated vertex when there is one; otherwise the
     first (x, slot index) candidate, in that order, whose exact delta
     1 + potential(H - S) - potential(H), S = {x} u slot, is largest.
     Slot j of x holds the j-th smallest vertex of each edge through x
-    (minus x).  Degrees, weights and potentials are recomputed from the
-    live edge list for every candidate, and after each step the
-    residual must still be r-uniform, linear and triangle-free.
+    (minus x), or its largest when the edge has fewer; a vertex on a
+    one-vertex edge has no slots, and the run stops when no vertex is
+    isolated or has a slot.  Degrees, weights, potentials and slots are
+    recomputed from the live edge list for every candidate.  Unless
+    unsafe is set, after each step the residual must still be r-uniform,
+    linear and triangle-free.
     """
     verts = set(range(h.n))
     edges = [frozenset(e) for e in h.edges]
@@ -371,21 +374,28 @@ def reference_greedy(h: Hypergraph, r: int) -> tuple[Step, ...]:
                 slots = [set() for _ in range(r - 1)]
                 for e in edges:
                     if x in e:
-                        for j, v in enumerate(sorted(e - {x})):
-                            slots[j].add(v)
+                        rest = sorted(e - {x})
+                        if not rest:
+                            slots = []
+                            break
+                        for j in range(r - 1):
+                            slots[j].add(rest[min(j, len(rest) - 1)])
                 for rset in slots:
                     gone = rset | {x}
                     rest = [e for e in edges if not e & gone]
                     delta = 1 + _potential(r, verts - gone, rest) - before
                     if best is None or delta > best[0]:
                         best = (delta, x, tuple(sorted(rset)))
+            if best is None:
+                break
             delta, x, slot = best
             after = before + delta - 1
         steps.append(Step(x, slot, before, after))
         gone = set(slot) | {x}
         verts -= gone
         edges = [e for e in edges if not e & gone]
-        residual = Hypergraph(h.n, edges)
-        assert all(len(e) == r for e in edges)
-        assert brute_linear(residual) and brute_triangle_free(residual)
+        if not unsafe:
+            residual = Hypergraph(h.n, edges)
+            assert all(len(e) == r for e in edges)
+            assert brute_linear(residual) and brute_triangle_free(residual)
     return tuple(steps)

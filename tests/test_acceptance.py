@@ -19,8 +19,8 @@ criteria, with their tolerances and runtime budgets:
    the frozen golden CSVs, each produced in < 5 s, with the strict
    dominance visible at every d in [2,40];
 6. on 300 seeded instances every greedy certificate verifies, reaches
-   ceil(guarantee - 1e-9) vertices, and never takes a negative step,
-   all in < 60 s;
+   ceil(guarantee) vertices (the guarantee is an exact fraction, so no
+   tolerance), and never takes a negative step, all in < 60 s;
 7. potential <= |greedy set| <= exact alpha on every corpus instance
    with n <= 20; exact alpha equals 2^n enumeration for n <= 16; the
    seven-point plane and loose_path(2,3) both have alpha 4;
@@ -50,7 +50,6 @@ from hyperind.cli import main
 from oracles import brute_beta, enumerate_alpha, shearer_s2_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
-EPS = Fraction(1, 10**9)
 
 
 def _crit(num: int, ok: bool, detail: str) -> None:
@@ -191,7 +190,7 @@ def test_criterion_6_certificates_at_scale():
     for h, r in corpus:
         cert = hi.greedy_extract(h, r)
         ok, _ = hi.verify_independent(h, cert.independent_set)
-        floor = math.ceil(cert.guarantee - EPS)
+        floor = math.ceil(cert.guarantee)
         if not ok or len(cert.independent_set) < floor:
             bad += 1
         if any(s.delta < 0 for s in cert.steps):
