@@ -107,15 +107,16 @@ class _Residual:
         self.r = r
         self.inc = [set(h.incident_edges(v)) for v in range(h.n)]
         self.deg = [len(s) for s in self.inc]
-        self._slots: list[Optional[list[set[int]]]] = [None] * h.n
+        self._slots: list[Optional[list[tuple[int, ...]]]] = [None] * h.n
         top = max(self.deg, default=0)
         w = [potential_weight(r, d) for d in range(top + 1)]
         self.scale = math.lcm(*(f.denominator for f in w))
         W = [f.numerator * (self.scale // f.denominator) for f in w]
         self.gain = [0] + [W[d - 1] - W[d] for d in range(1, top + 1)]
 
-    def slots(self, x: int) -> list[set[int]]:
-        """Slots of x that each meet every live edge through x.
+    def slots(self, x: int) -> list[tuple[int, ...]]:
+        """Slots of x, as sorted tuples, that each meet every live edge
+        through x.
 
         The j-th smallest vertex of each live edge through x (minus x)
         goes to slot j, and the last one fills the slots a short edge
@@ -126,15 +127,15 @@ class _Residual:
         """
         slots = self._slots[x]
         if slots is None:
-            slots = [set() for _ in range(self.r - 1)]
+            sets = [set() for _ in range(self.r - 1)]
             for i in self.inc[x]:
                 rest = [v for v in self.edges[i] if v != x]
                 if not rest:
-                    slots = []
+                    sets = []
                     break
-                for j, slot in enumerate(slots):
+                for j, slot in enumerate(sets):
                     slot.add(rest[min(j, len(rest) - 1)])
-            self._slots[x] = slots
+            slots = self._slots[x] = [tuple(sorted(s)) for s in sets]
         return slots
 
     def deltas(self, x: int) -> list[int]:
@@ -227,7 +228,7 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
         iso = next((u for u in alive if not deg[u]), None)
         if iso is not None:
             # the weight of an isolated vertex is exactly 1
-            delta, x, rset = 0, iso, set()
+            delta, x, rset = 0, iso, ()
         else:
             # keep the first maximum in (x, slot index) order
             best = None
@@ -241,8 +242,8 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
             delta, x, j = best
             rset = res.slots(x)[j]
         after = pot + Fraction(delta, res.scale) - 1
-        steps.append(Step(x, tuple(sorted(rset)), pot, after))
-        gone = rset | {x}
+        steps.append(Step(x, rset, pot, after))
+        gone = {x, *rset}
         res.delete(gone)
         alive = [v for v in alive if v not in gone]
         pot = after
