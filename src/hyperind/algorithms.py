@@ -234,9 +234,10 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
             best = None
             for u in alive:
                 ds = res.deltas(u)
-                if ds and (best is None or max(ds) > best[0]):
+                if ds:
                     top = max(ds)
-                    best = (top, u, ds.index(top))
+                    if best is None or top > best[0]:
+                        best = (top, u, ds.index(top))
             if best is None:
                 break
             delta, x, j = best

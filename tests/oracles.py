@@ -15,9 +15,10 @@ difference equation), the candidate-delta oracle reference_delta
 takes the whole potential before and after a removal, and the
 reference greedy does so at every step and rebuilds every slot, both
 recounting every degree from plain edge lists instead of the greedy's
-live degrees, cached slots and scaled edge-removal gains, and the subset unranker walks every vertex in turn
-instead of solving for each element's binomial root.  Agreement between such different routes
-is the point.
+live degrees, cached slots and scaled edge-removal gains, and the
+subset unranker walks every vertex in turn instead of solving for each
+element's binomial root.  Agreement between such different routes is
+the point.
 """
 
 from __future__ import annotations
@@ -345,7 +346,9 @@ def reference_delta(h: Hypergraph, r: int, x: int, slot) -> Fraction:
     return 1 + _potential(r, verts - gone, rest) - _potential(r, verts, edges)
 
 
-def reference_greedy(h: Hypergraph, r: int, unsafe: bool = False) -> tuple[Step, ...]:
+def reference_greedy(
+    h: Hypergraph, r: int, unsafe: bool = False
+) -> tuple[Step, ...]:
     """The greedy's steps, re-derived from scratch at every step.
 
     Takes the smallest isolated vertex when there is one; otherwise the
