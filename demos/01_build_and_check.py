@@ -32,10 +32,10 @@ ok, wit = hi.is_triangle_free(f)
 print("triangle witness:", wit)
 print()
 
-# Slot partitions split N(x) into r-1 pieces, one vertex per incident
-# edge each; these are the candidate removal sets the greedy works from.
-sp = hi.slot_partition(h, 2, 3)
-print("slot partition at the shared vertex:", [sorted(s) for s in sp.slots])
+# Each greedy step keeps a vertex x and removes one slot R of N(x), which
+# holds one vertex of every edge through x; an isolated x has R empty.
+for step in hi.greedy_extract(h, 3).steps:
+    print(f"greedy keeps {step.x}, removes slot R = {list(step.slot)}")
 
 # Non-linear input is rejected where linearity is a precondition.
 bad = hi.Hypergraph(4, [(0, 1, 2), (0, 1, 3)])

@@ -2,7 +2,7 @@
 
 Library surface:
 
-* ``core`` -- Hypergraph, slot partitions, the .hg text format
+* ``core`` -- Hypergraph, the .hg text format
 * ``properties`` -- structural predicates with failure witnesses
 * ``bounds`` -- exact and integral-form degree-sequence bounds
 * ``algorithms`` -- certified greedy extraction, exact independence number
@@ -23,11 +23,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "core": (
         "Hypergraph",
-        "SlotPartition",
         "format_hg",
         "parse_hg",
         "read_hg",
-        "slot_partition",
         "write_hg",
     ),
     "properties": (

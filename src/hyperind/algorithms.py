@@ -120,8 +120,10 @@ class _Residual:
 
         The j-th smallest vertex of each live edge through x (minus x)
         goes to slot j, and the last one fills the slots a short edge
-        leaves over: slot_partition on r-uniform linear input.  A vertex
-        on a live one-vertex edge has no slots, so it is never kept.
+        leaves over.  On r-uniform linear input the r - 1 slots are
+        disjoint, each has one vertex per live edge through x, and
+        together they cover x's live neighbourhood.  A vertex on a live
+        one-vertex edge has no slots, so it is never kept.
         The slots depend on x's live edges only, so they are kept until
         delete removes one of them.
         """

@@ -20,7 +20,7 @@ The quadrature is not certified.  It stops once an error *estimate*,
 the summed |GL15 - GL7| over its panels, drops below tol; that is not a
 bound on the true error.  So a six-decimal table cell can be misrounded:
 the d_max 400 table prints f_LZ(r=4, m=1, d=369) as 0.043747, where the
-true value 0.0437464998537 rounds to 0.043746.  ROADMAP item 2 plans a
+true value 0.0437464998537 rounds to 0.043746.  ROADMAP item 4 plans a
 closed form with a proven error bound.
 
 The integral kernels are implemented with a "+" sign in the denominator
@@ -128,9 +128,12 @@ def shearer_s1(d: Real) -> float:
 
     The removable singularity at d = 1 (limit 1/2) is bridged by a
     three-term series in e = d - 1 for |e| < 1e-4; at d = 0 the value
-    is exactly 1.
+    is exactly 1.  A non-finite d raises ValueError, a negative one
+    NegativeDegree.
     """
     x = float(d)
+    if not math.isfinite(x):
+        raise ValueError(f"degree must be finite, got {d!r}")
     if x < 0:
         raise NegativeDegree(f"degree must be non-negative, got {d!r}")
     if x == 0.0:
@@ -257,6 +260,8 @@ def _beta(alpha: float, beta: float) -> float:
 
 def _check_x(x: Real) -> float:
     xf = float(x)
+    if not math.isfinite(xf):
+        raise ValueError(f"argument must be finite, got {x!r}")
     if xf < 0:
         raise NegativeDegree(f"argument must be non-negative, got {x!r}")
     return xf
@@ -283,7 +288,8 @@ def li_zang(
     computed via log-Gamma.  The substitution t = u^(r-1) removes the
     t^-b endpoint singularity before quadrature.  At x = 0 the kernel
     reduces to m(1-t) and the integral cancels against B exactly, so
-    1.0 is returned without quadrature.
+    1.0 is returned without quadrature.  A non-finite x raises
+    ValueError, a negative one NegativeDegree.
 
     With kernel="printed" the denominator sign flips to m - (x-m)t;
     that form has a pole at t = m/(x-m) inside (0,1) whenever x > 2m

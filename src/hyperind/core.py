@@ -1,4 +1,4 @@
-"""Hypergraphs on integer vertices, neighbourhoods, slot partitions, the .hg format.
+"""Hypergraphs on integer vertices, neighbourhoods, the .hg format.
 
 A hypergraph has vertex set {0, ..., n-1} and a family of edges, each a set
 of vertices.  Edges are canonicalized on construction: vertices within an
@@ -10,23 +10,12 @@ package changes a Hypergraph after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
-from .errors import (
-    BadUniformity,
-    EmptyEdge,
-    EmptyHypergraph,
-    HgFormatError,
-    InvalidVertex,
-    IsolatedVertex,
-    NotLinear,
-    NotUniform,
-)
+from .errors import EmptyEdge, EmptyHypergraph, HgFormatError, InvalidVertex
 
 __all__ = [
     "Hypergraph",
-    "SlotPartition",
-    "slot_partition",
     "parse_hg",
     "format_hg",
     "read_hg",
@@ -141,57 +130,6 @@ class Hypergraph:
 
     def __repr__(self) -> str:
         return f"Hypergraph(n={self.n}, m={self.m})"
-
-
-class SlotPartition(NamedTuple):
-    """The r-1 slots of a vertex: disjoint sets covering its neighborhood.
-
-    slots[j] holds, for every edge through the center, the (j+1)-th
-    smallest vertex of that edge minus the center.  Each slot therefore
-    has exactly degree(center) vertices and meets every incident edge
-    exactly once.
-    """
-
-    center: int
-    slots: tuple[frozenset[int], ...]
-
-
-def slot_partition(h: Hypergraph, x: int, r: int) -> SlotPartition:
-    """Split the neighborhood of x into the r-1 canonical slots.
-
-    Requires h to be r-uniform and linear around x.  The assignment is
-    canonical: the j-th smallest vertex of e - {x} goes to slot j, so
-    the result is deterministic for a given hypergraph.
-
-    Raises
-    ------
-    BadUniformity : r < 2
-    IsolatedVertex : x has no incident edges
-    NotUniform : some edge through x has cardinality != r
-    NotLinear : two edges through x share a vertex besides x
-    """
-    if r < 2:
-        raise BadUniformity(f"uniformity must be at least 2, got {r}")
-    h._check_vertex(x)
-    incident = h.incident_edges(x)
-    if not incident:
-        raise IsolatedVertex(f"vertex {x} has no incident edges")
-    slots: list[set[int]] = [set() for _ in range(r - 1)]
-    seen: set[int] = set()
-    for i in incident:
-        rest = [v for v in h.edges[i] if v != x]
-        if len(rest) != r - 1:
-            raise NotUniform(
-                f"edge {h.edges[i]} has cardinality {len(rest) + 1}, expected {r}"
-            )
-        for j, v in enumerate(rest):
-            if v in seen:
-                raise NotLinear(
-                    f"vertex {v} lies in two edges through {x}"
-                )
-            seen.add(v)
-            slots[j].add(v)
-    return SlotPartition(center=x, slots=tuple(frozenset(s) for s in slots))
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,7 @@ __all__ = [
     "InvalidVertex",
     "EmptyEdge",
     "EmptyHypergraph",
-    "NotUniform",
     "NotLinear",
-    "IsolatedVertex",
     "BadUniformity",
     "NegativeDegree",
     "NonConvergent",
@@ -35,16 +33,8 @@ class EmptyHypergraph(HyperindError):
     """The operation needs at least one vertex."""
 
 
-class NotUniform(HyperindError):
-    """Edge cardinalities disagree with the required uniformity."""
-
-
 class NotLinear(HyperindError):
     """Two edges share more than one vertex."""
-
-
-class IsolatedVertex(HyperindError):
-    """The vertex has no incident edges."""
 
 
 class BadUniformity(HyperindError):

@@ -4,21 +4,22 @@ Everything here deliberately avoids the code paths of the package: the
 quadrature oracles use a fixed-panel composite midpoint rule instead of
 adaptive Gauss-Legendre, the alpha oracle enumerates all 2^n subsets
 instead of branch-and-bound, the predicate oracles use cubic brute-force
-loops instead of pair-map lookups, find the linearity, triangle and
-double-linearity witnesses by early-exit scans over plain edge lists
-instead of the shared pair index, and test every edge
-against every neighborhood instead of only the edges near it, the
-recurrence oracles
-iterate in high-precision floating point instead of exact rationals
-(the graph recurrence, which must match exactly, solves its own
-difference equation), the candidate-delta oracle reference_delta
-takes the whole potential before and after a removal, and the
-reference greedy does so at every step and rebuilds every slot, both
-recounting every degree from plain edge lists instead of the greedy's
-live degrees, cached slots and scaled edge-removal gains, and the
-subset unranker walks every vertex in turn instead of solving for each
-element's binomial root.  Agreement between such different routes is
-the point.
+loops over plain edge lists instead of the package's incidence index
+and neighbour-set intersections, find the linearity, triangle and
+double-linearity witnesses by early-exit scans over those lists, and
+test every edge against every neighborhood instead of only the edges
+near it, the recurrence oracles iterate in high-precision floating
+point instead of exact rationals (the graph recurrence, which must
+match exactly, solves its own difference equation), the slot oracle
+reference_slots scans the whole edge list for the edges through a
+vertex instead of reading its live incident edges, the candidate-delta
+oracle reference_delta takes the whole potential before and after a
+removal, and the reference greedy does so at every step and rebuilds
+every slot, both recounting every degree from plain edge lists instead
+of the greedy's live degrees, cached slots and scaled edge-removal
+gains, and the subset unranker walks every vertex in turn instead of
+solving for each element's binomial root.  Agreement between such
+different routes is the point.
 """
 
 from __future__ import annotations
@@ -346,6 +347,25 @@ def reference_delta(h: Hypergraph, r: int, x: int, slot) -> Fraction:
     return 1 + _potential(r, verts - gone, rest) - _potential(r, verts, edges)
 
 
+def reference_slots(edges, x: int, r: int) -> list[set]:
+    """The r - 1 slots of x, scanning the whole edge list for x's edges.
+
+    Slot j holds the j-th smallest vertex of each edge through x (minus
+    x), or its largest when the edge has fewer.  A vertex on a
+    one-vertex edge has no slots; a vertex on no edge has r - 1 empty
+    ones.
+    """
+    slots = [set() for _ in range(r - 1)]
+    for e in edges:
+        if x in e:
+            rest = sorted(v for v in e if v != x)
+            if not rest:
+                return []
+            for j, slot in enumerate(slots):
+                slot.add(rest[min(j, len(rest) - 1)])
+    return slots
+
+
 def reference_greedy(
     h: Hypergraph, r: int, unsafe: bool = False
 ) -> tuple[Step, ...]:
@@ -354,13 +374,11 @@ def reference_greedy(
     Takes the smallest isolated vertex when there is one; otherwise the
     first (x, slot index) candidate, in that order, whose exact delta
     1 + potential(H - S) - potential(H), S = {x} u slot, is largest.
-    Slot j of x holds the j-th smallest vertex of each edge through x
-    (minus x), or its largest when the edge has fewer; a vertex on a
-    one-vertex edge has no slots, and the run stops when no vertex is
-    isolated or has a slot.  Degrees, weights, potentials and slots are
-    recomputed from the live edge list for every candidate.  Unless
-    unsafe is set, after each step the residual must still be r-uniform,
-    linear and triangle-free.
+    The slots are reference_slots over the live edges, and the run
+    stops when no vertex is isolated or has a slot.  Degrees, weights,
+    potentials and slots are recomputed from the live edge list for
+    every candidate.  Unless unsafe is set, after each step the residual
+    must still be r-uniform, linear and triangle-free.
     """
     verts = set(range(h.n))
     edges = [frozenset(e) for e in h.edges]
@@ -374,16 +392,7 @@ def reference_greedy(
         else:
             best = None
             for x in sorted(verts):
-                slots = [set() for _ in range(r - 1)]
-                for e in edges:
-                    if x in e:
-                        rest = sorted(e - {x})
-                        if not rest:
-                            slots = []
-                            break
-                        for j in range(r - 1):
-                            slots[j].add(rest[min(j, len(rest) - 1)])
-                for rset in slots:
+                for rset in reference_slots(edges, x, r):
                     gone = rset | {x}
                     rest = [e for e in edges if not e & gone]
                     delta = 1 + _potential(r, verts - gone, rest) - before

@@ -12,7 +12,12 @@ from hypothesis import given, settings, strategies as st
 import hyperind as hi
 from hyperind.algorithms import _Residual
 from hyperind.errors import HypothesisViolated, InvalidVertex
-from oracles import enumerate_alpha, reference_delta, reference_greedy
+from oracles import (
+    enumerate_alpha,
+    reference_delta,
+    reference_greedy,
+    reference_slots,
+)
 from strategies import instances, raw_hypergraphs
 from test_golden_certificates import first_complete
 
@@ -46,7 +51,7 @@ def _candidates(h, r):
     an isolated vertex yields the empty pseudo-slot."""
     out = []
     for x in range(h.n):
-        slots = hi.slot_partition(h, x, r).slots if h.degree(x) else (frozenset(),)
+        slots = reference_slots(h.edges, x, r) if h.degree(x) else (frozenset(),)
         for j, rset in enumerate(slots):
             out.append((x, j, rset, reference_delta(h, r, x, rset)))
     return out
@@ -104,13 +109,13 @@ def test_max_candidate_delta_non_negative(hr):
 
 @settings(max_examples=60, deadline=None)
 @given(instances())
-def test_greedy_slots_match_slot_partition(hr):
-    # one slot rule: the greedy's, on all edges live, is slot_partition's
+def test_greedy_slots_match_reference_slots(hr):
+    # the greedy's slots, on all edges live, are the oracle's
     h, r = hr
     res = _Residual(h, r)
     for x in range(h.n):
         if h.degree(x):
-            want = [tuple(sorted(s)) for s in hi.slot_partition(h, x, r).slots]
+            want = [tuple(sorted(s)) for s in reference_slots(h.edges, x, r)]
             assert res.slots(x) == want
 
 

@@ -239,6 +239,17 @@ def test_quadrature_argument_errors():
             hi.bound_table(3, 2, tol=tol)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "bound",
+    [lambda x: hi.li_zang(3, 1, x), lambda x: hi.chishti(3, x), hi.shearer_s1],
+    ids=["li_zang", "chishti", "shearer_s1"],
+)
+def test_non_finite_argument_raises(bound, x):
+    with pytest.raises(ValueError, match="finite"):
+        bound(x)
+
+
 def test_unreachable_tolerance_raises():
     with pytest.raises(NonConvergent):
         hi.chishti(3, 7, tol=1e-30)

@@ -1,4 +1,4 @@
-"""Hypergraph construction, removal, slot partitions, and the .hg format."""
+"""Hypergraph construction, neighborhoods, the greedy's slots, the .hg format."""
 
 from __future__ import annotations
 
@@ -8,16 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hyperind as hi
-from hyperind.errors import (
-    BadUniformity,
-    EmptyEdge,
-    EmptyHypergraph,
-    HgFormatError,
-    InvalidVertex,
-    IsolatedVertex,
-    NotLinear,
-    NotUniform,
-)
+from hyperind.algorithms import _Residual
+from hyperind.errors import EmptyEdge, EmptyHypergraph, HgFormatError, InvalidVertex
 from oracles import brute_linear
 from strategies import raw_hypergraphs
 
@@ -102,28 +94,13 @@ def test_eq_hash_repr():
 
 
 # --- slot partitions --------------------------------------------------------
+# the greedy's slots of a vertex, with every edge live
 
 
 def test_slot_partition_examples():
-    sp = hi.slot_partition(hi.Hypergraph(3, [(0, 1, 2)]), 0, 3)
-    assert sp.center == 0
-    assert sp.slots == (frozenset({1}), frozenset({2}))
-
-    sp = hi.slot_partition(LOOSE, 2, 3)
-    assert sp.slots == (frozenset({0, 3}), frozenset({1, 4}))
-
-
-def test_slot_partition_errors():
-    with pytest.raises(BadUniformity):
-        hi.slot_partition(LOOSE, 2, 1)
-    with pytest.raises(IsolatedVertex):
-        hi.slot_partition(hi.Hypergraph(2, []), 0, 3)
-    with pytest.raises(NotUniform):
-        hi.slot_partition(hi.Hypergraph(4, [(0, 1)]), 0, 3)
-    with pytest.raises(NotLinear):
-        hi.slot_partition(hi.Hypergraph(4, [(0, 1, 2), (0, 1, 3)]), 0, 3)
-    with pytest.raises(InvalidVertex):
-        hi.slot_partition(LOOSE, 9, 3)
+    single = hi.Hypergraph(3, [(0, 1, 2)])
+    assert _Residual(single, 3).slots(0) == [(1,), (2,)]
+    assert _Residual(LOOSE, 3).slots(2) == [(0, 3), (1, 4)]
 
 
 @settings(max_examples=60)
@@ -133,20 +110,21 @@ def test_slot_partition_invariants(r, seed):
     h, _ = hi.random_linear_triangle_free(
         hi.InstanceSpec("random", n=n, r=r, m=max(1, n // r), seed=seed)
     )
+    res = _Residual(h, r)
     for x in range(h.n):
         if h.degree(x) == 0:
             continue
-        sp = hi.slot_partition(h, x, r)
-        assert len(sp.slots) == r - 1
+        slots = [set(s) for s in res.slots(x)]
+        assert len(slots) == r - 1
         union: set[int] = set()
-        for s in sp.slots:
+        for s in slots:
             assert len(s) == h.degree(x)
             assert not union & s  # pairwise disjoint
             union |= s
         assert union == set(h.neighborhood(x))
         # each slot meets each incident edge exactly once
         for i in h.incident_edges(x):
-            for s in sp.slots:
+            for s in slots:
                 assert len(s & set(h.edges[i])) == 1
 
 

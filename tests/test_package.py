@@ -69,7 +69,10 @@ def test_dir_covers_all():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hi.no_such_name
-    assert not hasattr(hi, "shearer_s2")
+    for name in ("shearer_s2", "slot_partition", "SlotPartition"):
+        assert not hasattr(hi, name), name
+    for name in ("IsolatedVertex", "NotUniform"):
+        assert not hasattr(hi.errors, name), name
     with pytest.raises(ImportError):
         exec("from hyperind import no_such_name", {})
 
@@ -81,7 +84,6 @@ def _records():
     row = hi.bound_table(3, 1)[1]
     cert = hi.greedy_extract(LOOSE, 3)
     return [
-        hi.slot_partition(LOOSE, 2, 3),
         hi.property_report(LOOSE),
         row.f_lz,
         row,
@@ -92,9 +94,8 @@ def _records():
     ]
 
 
-def test_records_are_the_eight_public_records():
+def test_records_are_the_seven_public_records():
     assert [type(rec).__name__ for rec in _records()] == [
-        "SlotPartition",
         "PropertyReport",
         "BoundValue",
         "TableRow",
