@@ -1,11 +1,15 @@
 """Exact-search results are frozen byte for byte.
 
-One sha256 over (alpha, independent_set, exact) of exact_alpha on the
-criterion-7 small corpus, the seven-point plane and the benchmark's
-r=3 exact corpus.  The digest in golden/exact.json was recorded before
-the search moved to live-edge masks and a packing bound.  A bound that
-only prunes subtrees unable to beat the incumbent leaves every
-incumbent, and so this digest, unchanged; only the node count moves.
+exact_witnesses is one sha256 over (alpha, independent_set, exact) of
+exact_alpha on the criterion-7 small corpus, the seven-point plane and
+the benchmark's r=3 exact corpus.  It was recorded before the search
+moved to live-edge masks and a packing bound.  A bound that only prunes
+subtrees unable to beat the incumbent leaves every incumbent, and so
+this digest, unchanged; only the node count moves.
+
+exact_nodes adds the node count, so it pins the search order itself:
+any change to how a node is processed that keeps the same nodes in the
+same order leaves it unchanged, budgeted runs included.
 """
 
 from __future__ import annotations
@@ -33,3 +37,17 @@ def test_exact_witnesses_frozen(small_corpus):
         res = hi.exact_alpha(h)
         sha.update(f"{label} {res.alpha} {list(res.independent_set)} {res.exact}\n".encode())
     assert sha.hexdigest() == GOLDEN["exact_witnesses"]
+
+
+def test_exact_nodes_frozen():
+    runs = [(f"random-r3-n{n}-s{s}", first_complete(n, 3, s), None) for n, s in EXACT_CORPUS]
+    runs += [(f"random-r3-n{n}", first_complete(n, 3), None) for n in (50, 60, 80)]
+    for label, h in (("fano", hi.fano()), ("loose-path-3-3", hi.loose_path(3, 3))):
+        runs += [(f"{label}-b{b}", h, b) for b in (None, 0, 1, 2, 10)]
+    sha = hashlib.sha256()
+    for label, h, budget in runs:
+        res = hi.exact_alpha(h, budget)
+        sha.update(
+            f"{label} {res.alpha} {list(res.independent_set)} {res.exact} {res.nodes}\n".encode()
+        )
+    assert sha.hexdigest() == GOLDEN["exact_nodes"]
