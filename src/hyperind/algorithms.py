@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, NamedTuple, Optional
 
 from .core import Hypergraph
@@ -276,22 +277,31 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     """Branch-and-bound independence number.
 
     A node holds the undecided and included vertices and the live edges,
-    those with no excluded vertex yet, as bitmasks.  It branches
-    include/exclude on the highest-degree undecided vertex of a smallest
-    live edge, degrees counting live edges only.  While it scans its
-    live edges in index order it packs those whose undecided parts are
-    pairwise disjoint; each packed edge forces one more exclusion, so a
-    node is pruned when |included| + |undecided| - packed <= best.  Such
-    a subtree cannot beat the incumbent, so the bound saves nodes without
-    changing which sets become incumbents.  When no edge is live, all
-    undecided vertices are taken at once.  Exploration is exclude-first
-    so a good incumbent appears on the first descent; with a node budget
-    the search stops early and flags the result inexact.
+    those with no excluded vertex yet: as a bitmask of edge indexes, read
+    only to count a vertex's live degree, and as the list of their vertex
+    masks in index order.  It branches include/exclude on the
+    highest-degree undecided vertex of a smallest live edge, degrees
+    counting live edges only.  While it walks its live-edge list it packs
+    those edges whose undecided parts are pairwise disjoint; each packed
+    edge forces one more exclusion, so a node is pruned when |included| +
+    |undecided| - packed <= best.  Such a subtree cannot beat the
+    incumbent, so the bound saves nodes without changing which sets
+    become incumbents.  When no edge is live, all undecided vertices are
+    taken at once.  Exploration is exclude-first so a good incumbent
+    appears on the first descent: a node pushes its include child, which
+    shares its live-edge list, and becomes its exclude child in place,
+    filtering the list down to the edges that miss the excluded vertex.
+    Every node is counted before the budget is checked, so a run that
+    exhausts the budget stops with nodes == budget + 1 and flags the
+    result inexact.
 
-    Raises ValueError when budget is negative.
+    Raises ValueError when budget is a bool, not an integer, or negative.
     """
-    if budget is not None and budget < 0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    if budget is not None:
+        if isinstance(budget, bool) or not isinstance(budget, Integral):
+            raise ValueError(f"budget must be an int or None, got {budget!r}")
+        if budget < 0:
+            raise ValueError(f"budget must be non-negative, got {budget}")
     n = h.n
     edge_masks = []
     vmask = [0] * n  # vertex -> mask of the indexes of its edges
@@ -305,54 +315,54 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     best_mask = 0
     nodes = 0
     exact = True
-    stack: list[tuple[int, int, int]] = (
-        [((1 << n) - 1, 0, (1 << len(edge_masks)) - 1)] if n else []
+    stack: list[tuple[int, int, int, list[int]]] = (
+        [((1 << n) - 1, 0, (1 << len(edge_masks)) - 1, edge_masks)] if n else []
     )
-    while stack:
-        nodes += 1
-        if budget is not None and nodes > budget:
-            exact = False
-            break
-        und, inc, live = stack.pop()
-        cand = und | inc
-        room = cand.bit_count() - best
-        if room <= 0:
-            continue
-        if not live:  # every edge has an excluded vertex: take all of cand
-            best, best_mask = best + room, cand
-            continue
-        pick_eu = 0
-        pick_sz = n + 1
-        packed = 0
-        rest = live
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            eu = edge_masks[low.bit_length() - 1] & und
-            if not eu & packed:
-                # disjoint from the packing: one more forced exclusion,
-                # or no way out at all when the edge lies inside inc
-                packed |= eu
-                room = room - 1 if eu else 0
-                if room <= 0:
-                    break
-            sz = eu.bit_count()
-            if sz < pick_sz:
-                pick_sz, pick_eu = sz, eu
-        if room <= 0:
-            continue
-        v_pick, v_deg = -1, -1
-        mm = pick_eu
-        while mm:
-            low = mm & -mm
-            v = low.bit_length() - 1
-            deg = (vmask[v] & live).bit_count()
-            if deg > v_deg:
-                v_deg, v_pick = deg, v
-            mm ^= low
-        bit = 1 << v_pick
-        stack.append((und & ~bit, inc | bit, live))  # include, explored second
-        stack.append((und & ~bit, inc, live & ~vmask[v_pick]))  # exclude, first
+    while exact and stack:
+        und, inc, live, lm = stack.pop()
+        while True:  # this node, then its exclude child in place
+            nodes += 1
+            if budget is not None and nodes > budget:
+                exact = False
+                break
+            cand = und | inc
+            room = cand.bit_count() - best
+            if room <= 0:
+                break
+            if not lm:  # every edge has an excluded vertex: take all of cand
+                best, best_mask = best + room, cand
+                break
+            pick_eu = 0
+            pick_sz = n + 1
+            packed = 0
+            for em in lm:
+                eu = em & und
+                if not eu & packed:
+                    # disjoint from the packing: one more forced exclusion,
+                    # or no way out at all when the edge lies inside inc
+                    packed |= eu
+                    room = room - 1 if eu else 0
+                    if room <= 0:
+                        break
+                sz = eu.bit_count()
+                if sz < pick_sz:
+                    pick_sz, pick_eu = sz, eu
+            if room <= 0:
+                break
+            v_pick, v_deg = -1, -1
+            mm = pick_eu
+            while mm:
+                low = mm & -mm
+                v = low.bit_length() - 1
+                deg = (vmask[v] & live).bit_count()
+                if deg > v_deg:
+                    v_deg, v_pick = deg, v
+                mm ^= low
+            bit = 1 << v_pick
+            und ^= bit
+            stack.append((und, inc | bit, live, lm))  # include, explored later
+            live &= ~vmask[v_pick]
+            lm = [em for em in lm if not em & bit]
     witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
     return AlphaResult(alpha=best, independent_set=witness, exact=exact, nodes=nodes)
 

@@ -3,7 +3,11 @@
 Everything here deliberately avoids the code paths of the package: the
 quadrature oracles use a fixed-panel composite midpoint rule instead of
 adaptive Gauss-Legendre, the alpha oracle enumerates all 2^n subsets
-instead of branch-and-bound, the predicate oracles use cubic brute-force
+instead of branch-and-bound, the search-order oracle
+reference_exact_alpha pushes both children of every node and finds each
+live edge by peeling the lowest bit of a live-edge index mask instead of
+walking a per-node list of edge masks and descending into the exclude
+child in place, the predicate oracles use cubic brute-force
 loops over plain edge lists instead of the package's incidence index
 and neighbour-set intersections, find the linearity, triangle and
 double-linearity witnesses by early-exit scans over those lists, and
@@ -29,10 +33,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
+from typing import Optional
+
 import mpmath as mp
 import numpy as np
 
-from hyperind import Hypergraph, Step
+from hyperind import AlphaResult, Hypergraph, Step
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +178,77 @@ def enumerate_alpha(h: Hypergraph) -> int:
         ok &= (idx & em) != em
     pop = np.unpackbits(idx.view(np.uint8).reshape(-1, 4), axis=1).sum(axis=1)
     return int(pop[ok].max())
+
+
+def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
+    """exact_alpha's branch and bound, node for node, on one bitmask stack.
+
+    Each stack entry is (undecided, included, live) as bitmasks, live a
+    mask of edge indexes; a node's live edges are found by peeling the
+    lowest set bit of live, and both children are pushed, include first
+    so that exclude is popped first.  The branching rule, the packing
+    bound, the witness, the node count and the budget cut-off are
+    exact_alpha's, so the whole AlphaResult must agree.
+    """
+    n = h.n
+    edge_masks = []
+    vmask = [0] * n
+    for i, e in enumerate(h.edges):
+        em = 0
+        for v in e:
+            em |= 1 << v
+            vmask[v] |= 1 << i
+        edge_masks.append(em)
+    best = 0
+    best_mask = 0
+    nodes = 0
+    exact = True
+    stack = [((1 << n) - 1, 0, (1 << len(edge_masks)) - 1)] if n else []
+    while stack:
+        nodes += 1
+        if budget is not None and nodes > budget:
+            exact = False
+            break
+        und, inc, live = stack.pop()
+        cand = und | inc
+        room = cand.bit_count() - best
+        if room <= 0:
+            continue
+        if not live:
+            best, best_mask = best + room, cand
+            continue
+        pick_eu = 0
+        pick_sz = n + 1
+        packed = 0
+        rest = live
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            eu = edge_masks[low.bit_length() - 1] & und
+            if not eu & packed:
+                packed |= eu
+                room = room - 1 if eu else 0
+                if room <= 0:
+                    break
+            sz = eu.bit_count()
+            if sz < pick_sz:
+                pick_sz, pick_eu = sz, eu
+        if room <= 0:
+            continue
+        v_pick, v_deg = -1, -1
+        mm = pick_eu
+        while mm:
+            low = mm & -mm
+            v = low.bit_length() - 1
+            deg = (vmask[v] & live).bit_count()
+            if deg > v_deg:
+                v_deg, v_pick = deg, v
+            mm ^= low
+        bit = 1 << v_pick
+        stack.append((und & ~bit, inc | bit, live))
+        stack.append((und & ~bit, inc, live & ~vmask[v_pick]))
+    witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
+    return AlphaResult(alpha=best, independent_set=witness, exact=exact, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------

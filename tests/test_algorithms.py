@@ -15,6 +15,7 @@ from hyperind.errors import HypothesisViolated, InvalidVertex
 from oracles import (
     enumerate_alpha,
     reference_delta,
+    reference_exact_alpha,
     reference_greedy,
     reference_slots,
 )
@@ -281,6 +282,54 @@ def test_exact_alpha_budget():
     assert hi.exact_alpha(hi.fano(), budget=10**6).exact
     with pytest.raises(ValueError):
         hi.exact_alpha(hi.fano(), budget=-1)
+
+
+@pytest.mark.parametrize("budget", [2.5, 3.0, True, False, "7"])
+def test_exact_alpha_rejects_non_int_budget(budget):
+    with pytest.raises(ValueError, match="budget"):
+        hi.exact_alpha(hi.fano(), budget=budget)
+
+
+@pytest.mark.parametrize(
+    "label",
+    ["fano", "loose-path-3-3", "single", "random-r3-n40-s1", "random-r3-n44-s2"],
+)
+def test_exact_alpha_budget_boundary(label):
+    h = {
+        "fano": hi.fano(),
+        "loose-path-3-3": hi.loose_path(3, 3),
+        "single": SINGLE,
+        "random-r3-n40-s1": first_complete(40, 3, 1),
+        "random-r3-n44-s2": first_complete(44, 3, 2),
+    }[label]
+    res = hi.exact_alpha(h)
+    assert res.exact
+    # a budget of exactly the nodes a full search takes is enough
+    assert hi.exact_alpha(h, budget=res.nodes) == res
+    # one node fewer stops on the last node, counted before the check
+    budget = res.nodes - 1
+    cut = hi.exact_alpha(h, budget=budget)
+    assert not cut.exact and cut.nodes == budget + 1
+    assert len(cut.independent_set) == cut.alpha <= res.alpha
+    assert hi.verify_independent(h, cut.independent_set) == (True, None)
+    assert hi.exact_alpha(h, budget=0) == (0, (), False, 1)
+
+
+BUDGETS = st.sampled_from([None, 0, 1, 7])
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_hypergraphs(), BUDGETS)
+def test_exact_alpha_matches_search_order_oracle_on_arbitrary_input(h, budget):
+    # same nodes in the same order: the whole result agrees, nodes included
+    assert hi.exact_alpha(h, budget) == reference_exact_alpha(h, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(instances(r_max=4, n_max=24), BUDGETS)
+def test_exact_alpha_matches_search_order_oracle(hr, budget):
+    h, _ = hr
+    assert hi.exact_alpha(h, budget) == reference_exact_alpha(h, budget)
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,7 +9,13 @@ this digest, unchanged; only the node count moves.
 
 exact_nodes adds the node count, so it pins the search order itself:
 any change to how a node is processed that keeps the same nodes in the
-same order leaves it unchanged, budgeted runs included.
+same order leaves it unchanged, budgeted runs included.  It was
+recorded before the search walked a per-node list of live edge masks
+and descended into the exclude child in place.
+
+cli_exact_n60_r3 is the sha256 of the stdout of `hyperind exact g.hg`
+on the file of `hyperind gen --family random --n 60 --r 3 --m 60 --seed
+0`, which fills; CI checks it without the test extras.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import json
 from pathlib import Path
 
 import hyperind as hi
+from hyperind.cli import main
 from test_golden_certificates import first_complete
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "exact.json").read_text())
@@ -51,3 +58,13 @@ def test_exact_nodes_frozen():
             f"{label} {res.alpha} {list(res.independent_set)} {res.exact} {res.nodes}\n".encode()
         )
     assert sha.hexdigest() == GOLDEN["exact_nodes"]
+
+
+def test_exact_cli_output_frozen(tmp_path, capsys):
+    path = tmp_path / "g.hg"
+    argv = ["gen", "--family", "random", "--n", "60", "--r", "3", "--m", "60"]
+    assert main([*argv, "--seed", "0", "-o", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["exact", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["cli_exact_n60_r3"]
