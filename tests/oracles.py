@@ -32,7 +32,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-
 from typing import Optional
 
 import mpmath as mp
