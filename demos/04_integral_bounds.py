@@ -3,8 +3,8 @@ The two integral bounds and their quadrature
 ============================================
 
 Shows the adaptive Gauss-Legendre evaluation of the li_zang and chishti
-forms, the r=2 collapse onto the closed graph formula, and the
-difference between the sign-corrected and the printed kernels.
+forms, their r=2 collapse onto the closed graph formula, and the
+whole-instance chishti bound.
 """
 
 import hyperind as hi
@@ -24,29 +24,6 @@ for x in (0.5, 1.0, 2.0, 10.0):
     s1 = hi.shearer_s1(x)
     print(f"  x={x:>4}:  li_zang {abs(hi.li_zang(2, 1, x) - s1):.2e}"
           f"   chishti {abs(hi.chishti(2, x) - s1):.2e}")
-print()
-
-# The kernels as usually displayed carry a sign slip: inside the
-# integrand the degree coefficient must enter with a plus for the
-# integral to stay finite at every degree.  The corrected kernel is the
-# default; the printed one converges to the wrong value at moderate
-# degrees and hits a pole past x = 2/(r-1).
-x = 1.5
-print("corrected vs printed kernel at x=1.5:")
-print("  r=2 corrected:", hi.chishti(2, x), " (closed form",
-      hi.shearer_s1(x), ")")
-print("  r=2 printed:  ", hi.chishti(2, x, kernel="printed"),
-      " (finite but off)")
-try:
-    hi.chishti(3, x, kernel="printed")
-except hi.errors.NonConvergent as e:
-    print("  r=3 printed:  ", type(e).__name__, "-", e)
-print()
-
-# Where the coefficient vanishes the two kernels agree to the bit.
-assert hi.chishti(3, 0.5, kernel="printed") == hi.chishti(3, 0.5)
-assert hi.li_zang(3, 1, 1.0, kernel="printed") == hi.li_zang(3, 1, 1.0)
-print("kernels agree bit-for-bit at the sign-neutral points")
 print()
 
 # Whole-instance version: n * chishti(r, average degree).

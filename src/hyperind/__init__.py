@@ -40,7 +40,6 @@ _EXPORTS = {
         "property_report",
     ),
     "bounds": (
-        "BoundValue",
         "TableRow",
         "as_ratio",
         "bound_table",

@@ -23,13 +23,11 @@ the d_max 400 table prints f_LZ(r=4, m=1, d=369) as 0.043747, where the
 true value 0.0437464998537 rounds to 0.043746.  ROADMAP item 4 plans a
 closed form with a proven error bound.
 
-The integral kernels are implemented with a "+" sign in the denominator
-(``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``).  The widely reprinted "-"
-variants develop a pole inside (0, 1) once x > 2m (resp. x > 2/(r-1))
-and already disagree with the exact r = 2 closed form at pole-free
-arguments, while the "+" kernels reproduce it to machine precision; the
-reprinted form stays available via ``kernel="printed"`` and raises on
-interior poles and, for li_zang, on the endpoint pole at x = 2m.
+The integrands carry a "+" sign in the denominator
+(``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``): the widely reprinted "-"
+forms have a pole inside (0, 1) once x > 2m (resp. x > 2/(r-1)) and
+miss the exact r = 2 closed form even where they converge, while the
+"+" forms reproduce it to machine precision.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ __all__ = [
     "potential",
     "caro_tuza_total",
     "chishti_bound",
-    "BoundValue",
     "TableRow",
     "bound_table",
     "table_to_csv",
@@ -272,31 +269,16 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
 
 
-def _check_kernel(kernel: str) -> bool:
-    if kernel not in ("corrected", "printed"):
-        raise ValueError(f"kernel must be 'corrected' or 'printed', got {kernel!r}")
-    return kernel == "corrected"
-
-
-def li_zang(
-    r: int, m: int, x: Real, tol: float = 1e-9, kernel: str = "corrected"
-) -> float:
+def li_zang(r: int, m: int, x: Real, tol: float = 1e-9) -> float:
     """Integral-form bound with neighborhood-degree parameter m.
 
     Evaluates (m/B) int_0^1 (1-t)^(a/m) / (t^b (m + (x-m)t)) dt with
     a = 1/(r-1)^2, b = (r-2)/(r-1) and normalizer B = Beta(1/(r-1), a/m)
     computed via log-Gamma.  The substitution t = u^(r-1) removes the
-    t^-b endpoint singularity before quadrature.  At x = 0 the kernel
+    t^-b endpoint singularity before quadrature.  At x = 0 the denominator
     reduces to m(1-t) and the integral cancels against B exactly, so
     1.0 is returned without quadrature.  A non-finite x raises
     ValueError, a negative one NegativeDegree.
-
-    With kernel="printed" the denominator sign flips to m - (x-m)t;
-    that form has a pole at t = m/(x-m) inside (0,1) whenever x > 2m
-    and NonConvergent is raised there.  At x = 2m the pole sits at the
-    endpoint t = 1, where the integrand grows like (1-t)^(a/m - 1)
-    without bound and the quadrature cannot reach tol, so
-    NonConvergent is raised there too unless a/m = 1 (r = 2, m = 1).
 
     On success the estimated error is at most tol.  This is an estimate,
     not a bound on |result - true value| (see the module docstring).
@@ -305,25 +287,13 @@ def li_zang(
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     _check_tol(tol)
-    corrected = _check_kernel(kernel)
     xf = _check_x(x)
-    if not corrected and xf > 2 * m:
-        raise NonConvergent(
-            f"printed kernel has an interior pole at t = {m / (xf - m):.6g} "
-            f"for x = {xf} > 2m = {2 * m}; use the corrected kernel"
-        )
-    rm1 = r - 1
-    gamma = 1.0 / (rm1 * rm1 * m)  # exponent a/m
-    if not corrected and xf == 2 * m and gamma < 1.0:
-        raise NonConvergent(
-            f"printed kernel has an endpoint pole at t = 1 for x = 2m = {xf}, "
-            f"where the integrand grows like (1-t)^{gamma - 1.0:.6g}; "
-            "use the corrected kernel"
-        )
     if xf == 0.0:
         return 1.0
+    rm1 = r - 1
+    gamma = 1.0 / (rm1 * rm1 * m)  # exponent a/m
     bnorm = _beta(1.0 / rm1, gamma)
-    k = (1.0 if corrected else -1.0) * (xf - m)
+    k = xf - m
 
     def values(a: float, b: float) -> list[float]:
         return [
@@ -335,30 +305,23 @@ def li_zang(
     return (m / bnorm) * integral
 
 
-def chishti(r: int, x: Real, tol: float = 1e-9, kernel: str = "corrected") -> float:
+def chishti(r: int, x: Real, tol: float = 1e-9) -> float:
     """Integral-form bound 1/(r-1) int_0^1 (1-t) / (t^b (1 + ((r-1)x - 1)t)) dt.
 
     Same conventions as li_zang: t = u^(r-1) substitution (the 1/(r-1)
     prefactor then cancels), log-Gamma-free since no normalizer appears,
-    exact 1.0 at x = 0, and kernel="printed" flips the denominator sign
-    (pole inside (0,1) for x > 2/(r-1), raising NonConvergent).
+    and exact 1.0 at x = 0.
 
     On success the estimated error is at most tol.  This is an estimate,
     not a bound on |result - true value| (see the module docstring).
     """
     _check_r(r)
     _check_tol(tol)
-    corrected = _check_kernel(kernel)
     xf = _check_x(x)
-    if not corrected and (r - 1) * xf - 1.0 > 1.0:
-        raise NonConvergent(
-            f"printed kernel has an interior pole at t = {1.0 / ((r - 1) * xf - 1.0):.6g} "
-            f"for x = {xf} > 2/(r-1); use the corrected kernel"
-        )
     if xf == 0.0:
         return 1.0
     rm1 = r - 1
-    coef = (rm1 * xf - 1.0) if corrected else -(rm1 * xf - 1.0)
+    coef = rm1 * xf - 1.0
 
     def values(a: float, b: float) -> list[float]:
         return [(1.0 - t) / (1.0 + coef * t) for t in _panel_t(rm1, a, b)]
@@ -411,28 +374,15 @@ def chishti_bound(h: Hypergraph, r: int, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-class BoundValue(NamedTuple):
-    """One evaluated bound: an exact Fraction with error 0.0, or a float.
-
-    For a float, error is the tol its quadrature estimated itself to
-    meet; it is not a proven bound on the true error.
-    """
-
-    kind: str
-    r: int
-    argument: Real
-    value: Union[Fraction, float]
-    error: float = 0.0
-
-
 class TableRow(NamedTuple):
-    """All four bound columns at one degree."""
+    """All four bounds at one degree: two quadrature floats, whose
+    estimated error is at most the table's tol, and two exact Fractions."""
 
     d: int
-    f_lz: BoundValue
-    f_czpi: BoundValue
-    f_ct: BoundValue
-    f_r: BoundValue
+    f_lz: float
+    f_czpi: float
+    f_ct: Fraction
+    f_r: Fraction
 
 
 def as_ratio(x: Fraction) -> str:
@@ -458,10 +408,10 @@ def bound_table(
     return [
         TableRow(
             d=d,
-            f_lz=BoundValue("f_LZ", r, d, li_zang(r, m, d, tol), tol),
-            f_czpi=BoundValue("f_CZPI", r, d, chishti(r, d, tol), tol),
-            f_ct=BoundValue("f_CT", r, d, caro_tuza(r, d)),
-            f_r=BoundValue("f_r", r, d, potential_weight(r, d)),
+            f_lz=li_zang(r, m, d, tol),
+            f_czpi=chishti(r, d, tol),
+            f_ct=caro_tuza(r, d),
+            f_r=potential_weight(r, d),
         )
         for d in range(d_max + 1)
     ]
@@ -472,8 +422,8 @@ def table_to_csv(rows: list[TableRow]) -> str:
     lines = ["d,f_LZ,f_CZPI,f_CT,f_r"]
     for row in rows:
         lines.append(
-            f"{row.d},{row.f_lz.value:.6f},{row.f_czpi.value:.6f},"
-            f"{float(row.f_ct.value):.6f},{float(row.f_r.value):.6f}"
+            f"{row.d},{row.f_lz:.6f},{row.f_czpi:.6f},"
+            f"{float(row.f_ct):.6f},{float(row.f_r):.6f}"
         )
     return "\n".join(lines) + "\n"
 
@@ -489,10 +439,10 @@ def table_to_json(rows: list[TableRow], r: int, m: int, tol: float) -> str:
         "rows": [
             {
                 "d": row.d,
-                "f_LZ": row.f_lz.value,
-                "f_CZPI": row.f_czpi.value,
-                "f_CT": as_ratio(row.f_ct.value),
-                "f_r": as_ratio(row.f_r.value),
+                "f_LZ": row.f_lz,
+                "f_CZPI": row.f_czpi,
+                "f_CT": as_ratio(row.f_ct),
+                "f_r": as_ratio(row.f_r),
             }
             for row in rows
         ],

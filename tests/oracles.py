@@ -136,24 +136,30 @@ def shearer_s2_sequence(d_max: int) -> list[Fraction]:
     return out
 
 
-def mp_li_zang(r: int, m: int, x, dps: int = 30):
-    """tanh-sinh quadrature of the substituted integrand, mpmath beta."""
+def mp_li_zang(r: int, m: int, x, dps: int = 30, sign: int = 1):
+    """tanh-sinh quadrature of the substituted integrand, mpmath beta.
+
+    sign=-1 gives the widely reprinted form, whose denominator is
+    m - (x-m)t instead of m + (x-m)t.
+    """
     with mp.workdps(dps):
         rm1 = r - 1
         g = mp.mpf(1) / (rm1 * rm1 * m)
         xm = mp.mpf(x)
         bnorm = mp.beta(mp.mpf(1) / rm1, g)
         val = mp.quad(
-            lambda u: rm1 * (1 - u**rm1) ** g / (m + (xm - m) * u**rm1),
+            lambda u: rm1 * (1 - u**rm1) ** g / (m + sign * (xm - m) * u**rm1),
             [0, 1],
         )
         return (m / bnorm) * val
 
 
-def mp_chishti(r: int, x, dps: int = 30):
+def mp_chishti(r: int, x, dps: int = 30, sign: int = 1):
+    """tanh-sinh quadrature of the substituted integrand; sign=-1 as in
+    mp_li_zang."""
     with mp.workdps(dps):
         rm1 = r - 1
-        coef = rm1 * mp.mpf(x) - 1
+        coef = sign * (rm1 * mp.mpf(x) - 1)
         return mp.quad(
             lambda u: (1 - u**rm1) / (1 + coef * u**rm1),
             [0, 1],

@@ -161,7 +161,7 @@ def test_quadrature_at_zero_is_analytic():
     assert hi.li_zang(2, 1, 0.0) == 1.0
 
 
-@pytest.mark.parametrize("x", [0.25, 1.0, 2.0, 7.5, 33.0])
+@pytest.mark.parametrize("x", [0.25, 1.0, 1.5, 2.0, 7.5, 33.0])
 def test_graph_reduction_identities(x):
     s1 = hi.shearer_s1(x)
     assert abs(hi.li_zang(2, 1, x) - s1) < 1e-8
@@ -187,32 +187,16 @@ def test_exact_value_at_x_one_m_one():
         assert abs(hi.li_zang(r, 1, 1) - 1.0 / r) < 1e-9
 
 
-def test_printed_kernel():
-    # same value where the sign cannot matter: x = m for li_zang,
-    # (r-1)x = 1 for chishti
-    assert hi.li_zang(3, 1, 1, kernel="printed") == hi.li_zang(3, 1, 1)
-    assert hi.chishti(3, 0.5, kernel="printed") == hi.chishti(3, 0.5)
-    # demonstrably wrong where both forms converge: r = 2 must match
-    # shearer_s1 and only the corrected kernel does
+def test_reprinted_minus_form_misses_graph_bound():
+    # the "-" denominator of the reprinted formulas converges at r = 2,
+    # x = 1.5 (no pole before x = 2m resp. 2/(r-1)), yet misses the exact
+    # graph bound shearer_s1; the "+" form, which li_zang and chishti
+    # evaluate, meets it
     s1 = hi.shearer_s1(1.5)
-    assert abs(hi.li_zang(2, 1, 1.5) - s1) < 1e-8
-    assert abs(hi.li_zang(2, 1, 1.5, kernel="printed") - s1) > 1e-3
-    assert abs(hi.chishti(2, 1.5, kernel="printed") - s1) > 1e-3
-    # interior pole past x = 2m resp. x = 2/(r-1)
-    with pytest.raises(NonConvergent):
-        hi.li_zang(2, 1, 2.5, kernel="printed")
-    with pytest.raises(NonConvergent):
-        hi.chishti(3, 1.5, kernel="printed")
-
-
-def test_printed_kernel_endpoint_pole():
-    # at x = 2m the printed pole reaches t = 1; the integrand is unbounded
-    # there unless a/m = 1, which holds only at r = 2, m = 1
-    with pytest.raises(NonConvergent, match="endpoint pole"):
-        hi.li_zang(3, 1, 2.0, kernel="printed")
-    with pytest.raises(NonConvergent, match="endpoint pole"):
-        hi.li_zang(2, 2, 4.0, kernel="printed")
-    assert hi.li_zang(2, 1, 2.0, kernel="printed") == 1.0000000000000002
+    assert abs(float(mp_li_zang(2, 1, 1.5, sign=-1)) - s1) > 1e-3
+    assert abs(float(mp_chishti(2, 1.5, sign=-1)) - s1) > 1e-3
+    assert abs(float(mp_li_zang(2, 1, 1.5)) - s1) < 1e-12
+    assert abs(float(mp_chishti(2, 1.5)) - s1) < 1e-12
 
 
 def test_quadrature_argument_errors():
@@ -222,8 +206,11 @@ def test_quadrature_argument_errors():
         hi.li_zang(3, 0, 2.0)
     with pytest.raises(ValueError):
         hi.li_zang(3, 1, 2.0, tol=0.0)
-    with pytest.raises(ValueError):
-        hi.li_zang(3, 1, 2.0, kernel="folklore")
+    # the integrands have one sign; there is no switch to pick another
+    with pytest.raises(TypeError):
+        hi.li_zang(3, 1, 2.0, kernel="printed")
+    with pytest.raises(TypeError):
+        hi.chishti(3, 1.0, kernel="printed")
     with pytest.raises(NegativeDegree):
         hi.li_zang(3, 1, -1.0)
     with pytest.raises(NegativeDegree):
@@ -319,28 +306,28 @@ def test_chishti_bound():
 def test_bound_table_row_zero_and_one():
     rows = hi.bound_table(3, 1)
     assert rows[0].d == 0
-    assert rows[0].f_ct.value == 1 and rows[0].f_r.value == 1
-    assert rows[0].f_lz.value == 1.0 and rows[0].f_czpi.value == 1.0
-    assert rows[1].f_ct.value == rows[1].f_r.value == Fraction(2, 3)
+    assert [type(cell) for cell in rows[1]] == [int, float, float, Fraction, Fraction]
+    assert rows[0].f_ct == 1 and rows[0].f_r == 1
+    assert rows[0].f_lz == 1.0 and rows[0].f_czpi == 1.0
+    assert rows[1].f_ct == rows[1].f_r == Fraction(2, 3)
     r4 = hi.bound_table(4, 0)
-    assert abs(r4[0].f_lz.value - 1.0) <= 1e-9
-    assert abs(r4[0].f_czpi.value - 1.0) <= 1e-9
+    assert abs(r4[0].f_lz - 1.0) <= 1e-9
+    assert abs(r4[0].f_czpi - 1.0) <= 1e-9
 
 
 def test_bound_table_values_in_unit_interval():
     for row in hi.bound_table(3, 25):
         for cell in (row.f_lz, row.f_czpi, row.f_ct, row.f_r):
-            v = float(cell.value)
-            assert 0.0 < v <= 1.0
+            assert 0.0 < float(cell) <= 1.0
 
 
 def test_bound_table_columns_non_increasing():
     rows = hi.bound_table(4, 25)
     for a, b in zip(rows, rows[1:]):
-        assert float(a.f_lz.value) >= float(b.f_lz.value)
-        assert float(a.f_czpi.value) >= float(b.f_czpi.value)
-        assert a.f_ct.value > b.f_ct.value
-        assert a.f_r.value > b.f_r.value
+        assert a.f_lz >= b.f_lz
+        assert a.f_czpi >= b.f_czpi
+        assert a.f_ct > b.f_ct
+        assert a.f_r > b.f_r
 
 
 def test_bound_table_threads_bit_identical():

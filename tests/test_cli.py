@@ -320,7 +320,6 @@ def test_module_entry_point_matches_in_process(capsys):
         [sys.executable, "-m", "hyperind", *argv],
         capture_output=True,
         text=True,
-        env={**os.environ, "HYPERIND_THREADS": ""},
     )
     assert proc.returncode == 0
     assert proc.stdout == expected

@@ -6,7 +6,6 @@ import importlib
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -69,7 +68,7 @@ def test_dir_covers_all():
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         hi.no_such_name
-    for name in ("shearer_s2", "slot_partition", "SlotPartition"):
+    for name in ("shearer_s2", "slot_partition", "SlotPartition", "BoundValue"):
         assert not hasattr(hi, name), name
     for name in ("IsolatedVertex", "NotUniform"):
         assert not hasattr(hi.errors, name), name
@@ -85,7 +84,6 @@ def _records():
     cert = hi.greedy_extract(LOOSE, 3)
     return [
         hi.property_report(LOOSE),
-        row.f_lz,
         row,
         cert.steps[0],
         cert,
@@ -94,10 +92,9 @@ def _records():
     ]
 
 
-def test_records_are_the_seven_public_records():
+def test_records_are_the_six_public_records():
     assert [type(rec).__name__ for rec in _records()] == [
         "PropertyReport",
-        "BoundValue",
         "TableRow",
         "Step",
         "ExtractionCertificate",
@@ -117,11 +114,8 @@ def test_record_fields_cannot_be_assigned(rec):
 
 def test_record_repr_pinned():
     assert repr(hi.bound_table(3, 1)[1]) == (
-        "TableRow(d=1, "
-        "f_lz=BoundValue(kind='f_LZ', r=3, argument=1, value=0.33333333343709326, error=1e-09), "
-        "f_czpi=BoundValue(kind='f_CZPI', r=3, argument=1, value=0.5707963267948968, error=1e-09), "
-        "f_ct=BoundValue(kind='f_CT', r=3, argument=1, value=Fraction(2, 3), error=0.0), "
-        "f_r=BoundValue(kind='f_r', r=3, argument=1, value=Fraction(2, 3), error=0.0))"
+        "TableRow(d=1, f_lz=0.33333333343709326, f_czpi=0.5707963267948968, "
+        "f_ct=Fraction(2, 3), f_r=Fraction(2, 3))"
     )
     assert repr(hi.exact_alpha(hi.loose_path(2, 3))) == (
         "AlphaResult(alpha=4, independent_set=(0, 1, 3, 4), exact=True, nodes=3)"
@@ -134,5 +128,4 @@ def test_records_are_named_tuples():
     assert hash(spec) == hash(("random", 5, 3, 2, 0))
     family, n, r, m, seed = spec
     assert (family, seed) == ("random", 0)
-    assert hi.BoundValue("f_r", 3, 0, Fraction(1)).error == 0.0
     assert spec._replace(seed=7).seed == 7
