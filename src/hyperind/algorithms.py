@@ -263,8 +263,11 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
 class AlphaResult(NamedTuple):
     """Independence number search result.
 
-    exact=False means the node budget ran out and alpha is only the best
-    lower bound found (with a witness set attaining it).
+    The contract: alpha, and exact=False when the node budget ran out so
+    that alpha is only the best lower bound found; independent_set, an
+    independent set of alpha vertices, namely the first maximum set the
+    exclude-first search meets; and nodes, the search's own count, which
+    may change whenever the search order does.
     """
 
     alpha: int
@@ -294,6 +297,11 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     Every node is counted before the budget is checked, so a run that
     exhausts the budget stops with nodes == budget + 1 and flags the
     result inexact.
+
+    Only alpha and exact are fixed by the instance.  The witness is an
+    independent set of alpha vertices, the first maximum set this search
+    meets, and nodes is the search's own count; both may change whenever
+    the branching order does.
 
     Raises ValueError when budget is a bool, not an integer, or negative.
     """
