@@ -282,18 +282,19 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     A node holds the undecided and included vertices and the live edges,
     those with no excluded vertex yet: as a bitmask of edge indexes, read
     only to count a vertex's live degree, and as the list of their vertex
-    masks in index order.  It branches include/exclude on the
-    highest-degree undecided vertex of a smallest live edge, degrees
-    counting live edges only.  While it walks its live-edge list it packs
-    those edges whose undecided parts are pairwise disjoint; each packed
-    edge forces one more exclusion, so a node is pruned when |included| +
-    |undecided| - packed <= best.  Such a subtree cannot beat the
-    incumbent, so the bound saves nodes without changing which sets
-    become incumbents.  When no edge is live, all undecided vertices are
-    taken at once.  Exploration is exclude-first so a good incumbent
-    appears on the first descent: a node pushes its include child, which
-    shares its live-edge list, and becomes its exclude child in place,
-    filtering the list down to the edges that miss the excluded vertex.
+    masks in index order.  It branches include/exclude on the undecided
+    vertex of highest live degree over all the live edges whose undecided
+    part is smallest, lowest id on ties.  While it walks its live-edge
+    list it packs those edges whose undecided parts are pairwise
+    disjoint; each packed edge forces one more exclusion, so a node is
+    pruned when |included| + |undecided| - packed <= best.  Such a
+    subtree cannot beat the incumbent, so the bound saves nodes without
+    changing which sets become incumbents.  When no edge is live, all
+    undecided vertices are taken at once.  Exploration is exclude-first
+    so a good incumbent appears on the first descent: a node pushes its
+    include child, which shares its live-edge list, and becomes its
+    exclude child in place, filtering the list down to the edges that
+    miss the excluded vertex.
     Every node is counted before the budget is checked, so a run that
     exhausts the budget stops with nodes == budget + 1 and flags the
     result inexact.
@@ -355,6 +356,8 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
                 sz = eu.bit_count()
                 if sz < pick_sz:
                     pick_sz, pick_eu = sz, eu
+                elif sz == pick_sz:
+                    pick_eu |= eu
             if room <= 0:
                 break
             v_pick, v_deg = -1, -1

@@ -191,9 +191,11 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
     Each stack entry is (undecided, included, live) as bitmasks, live a
     mask of edge indexes; a node's live edges are found by peeling the
     lowest set bit of live, and both children are pushed, include first
-    so that exclude is popped first.  The branching rule, the packing
-    bound, the witness, the node count and the budget cut-off are
-    exact_alpha's, so the whole AlphaResult must agree.
+    so that exclude is popped first.  The branching rule (the undecided
+    vertex of highest live degree over the union of the undecided parts
+    of all smallest live edges, lowest id on ties), the packing bound,
+    the witness, the node count and the budget cut-off are exact_alpha's,
+    so the whole AlphaResult must agree.
     """
     n = h.n
     edge_masks = []
@@ -238,6 +240,8 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
             sz = eu.bit_count()
             if sz < pick_sz:
                 pick_sz, pick_eu = sz, eu
+            elif sz == pick_sz:
+                pick_eu |= eu
         if room <= 0:
             continue
         v_pick, v_deg = -1, -1

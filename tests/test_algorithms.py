@@ -350,11 +350,20 @@ def test_exact_alpha_matches_enumeration_on_arbitrary_input(h):
 
 
 def test_exact_alpha_node_count_n50():
-    # a node count repeats exactly, so this guards the bound without timing;
-    # the trivial bound |included| + |undecided| alone needs 455,539 nodes
+    # a node count repeats exactly, so this guards the bound and the
+    # branching rule without timing; the trivial bound |included| +
+    # |undecided| alone needs 455,539 nodes, and branching inside the first
+    # smallest live edge only needs 1,517
     res = hi.exact_alpha(first_complete(50, 3))
     assert res.exact
-    assert res.nodes <= 2000
+    assert res.nodes <= 800
+
+
+def test_exact_alpha_node_count_n80():
+    # branching inside the first smallest live edge only needs 30,233 nodes
+    res = hi.exact_alpha(first_complete(80, 3))
+    assert res.exact
+    assert res.nodes <= 8000
 
 
 # --- verification -----------------------------------------------------------
