@@ -1,23 +1,26 @@
 """Exact-search results are frozen byte for byte.
 
+exact_alpha promises alpha and exact; its witness is the first maximum
+set the exclude-first search meets, and nodes is the search's own
+count, so both move whenever the branching order does.  These digests
+pin that order, and were re-recorded once when the search began to
+branch on the busiest undecided vertex over all smallest live edges,
+not only the first one.
+
 exact_witnesses is one sha256 over (alpha, independent_set, exact) of
 exact_alpha on the criterion-7 small corpus, the seven-point plane and
-the benchmark's r=3 exact corpus.  It was recorded before the search
-moved to live-edge masks and a packing bound.  A bound that only prunes
-subtrees unable to beat the incumbent leaves every incumbent, and so
-this digest, unchanged; only the node count moves.
+the benchmark's r=3 exact corpus.  A bound that only prunes subtrees
+unable to beat the incumbent leaves every incumbent, and so this
+digest, unchanged; only the node count moves.
 
 exact_nodes adds the node count, so it pins the search order itself:
 any change to how a node is processed that keeps the same nodes in the
-same order leaves it unchanged, budgeted runs included.  It was
-recorded before the search walked a per-node list of live edge masks
-and descended into the exclude child in place.
+same order leaves it unchanged, budgeted runs included.
 
 cli_exact_n60_r3 is the sha256 of the stdout of `hyperind exact g.hg`
 on the file of `hyperind gen --family random --n 60 --r 3 --m 60 --seed
 0`, which fills; CI checks it without the test extras.
 """
-
 from __future__ import annotations
 
 import hashlib
