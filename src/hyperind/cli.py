@@ -142,7 +142,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ct = caro_tuza_total(h, args.r)
     # the bound averages over the vertices, so it has no value at n = 0
     cz_txt = f"{chishti_bound(h, args.r, tol=args.tol):.6f}" if h.n else "n/a"
-    if h.n <= 30 or args.budget is not None:
+    if h.n <= 60 or args.budget is not None:
         budget = args.budget if args.budget is not None else _DEFAULT_EXACT_BUDGET
         res = exact_alpha(h, budget=budget)
         exact_txt = str(res.alpha) if res.exact else f">={res.alpha}"
@@ -233,7 +233,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--budget",
         type=int,
         default=None,
-        help="run exact search with this node limit even when n > 30",
+        help="run exact search with this node limit even when n > 60",
     )
     c.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     c.set_defaults(func=cmd_compare)

@@ -290,12 +290,25 @@ def test_compare_negative_budget_is_usage_error(loose_file, capsys):
 def test_compare_large_instance_skips_exact(tmp_path, capsys):
     dest = tmp_path / "big.hg"
     run(
-        ["gen", "--family", "random", "--n", "40", "--r", "3", "--m", "20",
+        ["gen", "--family", "random", "--n", "61", "--r", "3", "--m", "30",
          "--seed", "2", "-o", str(dest)],
         capsys,
     )
     _, out, _ = run(["compare", str(dest), "--r", "3"], capsys)
     assert "exact=n/a" in out
+
+
+@pytest.mark.parametrize("n", [31, 60])
+def test_compare_solves_up_to_n60(tmp_path, capsys, n):
+    dest = tmp_path / "mid.hg"
+    run(
+        ["gen", "--family", "random", "--n", str(n), "--r", "3", "--m", str(n),
+         "--seed", "0", "-o", str(dest)],
+        capsys,
+    )
+    code, out, _ = run(["compare", str(dest), "--r", "3"], capsys)
+    assert code == 0
+    assert out.endswith(f" exact={hi.exact_alpha(hi.read_hg(str(dest))).alpha}\n")
 
 
 def test_compare_zero_vertices(tmp_path, capsys):
