@@ -17,9 +17,11 @@ exact_nodes adds the node count, so it pins the search order itself:
 any change to how a node is processed that keeps the same nodes in the
 same order leaves it unchanged, budgeted runs included.
 
-cli_exact_n60_r3 is the sha256 of the stdout of `hyperind exact g.hg`
-on the file of `hyperind gen --family random --n 60 --r 3 --m 60 --seed
-0`, which fills; CI checks it without the test extras.
+cli_exact_n60_r3 and cli_exact_n100_r3 are the sha256 of the stdout of
+`hyperind exact g.hg` on the file of `hyperind gen --family random --n N
+--r 3 --m N --seed 0` at N = 60 and 100, each of which fills; CI checks
+both without the test extras, the n = 100 run under a 60 s timeout as a
+guard against a slower search.
 """
 from __future__ import annotations
 
@@ -64,10 +66,11 @@ def test_exact_nodes_frozen():
 
 
 def test_exact_cli_output_frozen(tmp_path, capsys):
-    path = tmp_path / "g.hg"
-    argv = ["gen", "--family", "random", "--n", "60", "--r", "3", "--m", "60"]
-    assert main([*argv, "--seed", "0", "-o", str(path)]) == 0
-    capsys.readouterr()
-    assert main(["exact", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["cli_exact_n60_r3"]
+    for n in (60, 100):
+        path = tmp_path / f"g{n}.hg"
+        argv = ["gen", "--family", "random", "--n", f"{n}", "--r", "3", "--m", f"{n}"]
+        assert main([*argv, "--seed", "0", "-o", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["exact", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[f"cli_exact_n{n}_r3"]
