@@ -265,9 +265,9 @@ class AlphaResult(NamedTuple):
 
     The contract: alpha, and exact=False when the node budget ran out so
     that alpha is only the best lower bound found; independent_set, an
-    independent set of alpha vertices, namely the first maximum set the
-    exclude-first search meets; and nodes, the search's own count, which
-    may change whenever the search order does.
+    independent set of alpha vertices, namely the first set of that size
+    the exclude-first search meets; and nodes, the search's own count.
+    The witness and nodes may change whenever the search order does.
     """
 
     alpha: int
@@ -299,10 +299,10 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     exhausts the budget stops with nodes == budget + 1 and flags the
     result inexact.
 
-    Only alpha and exact are fixed by the instance.  The witness is an
+    Only an exact alpha is fixed by the instance.  The witness is an
     independent set of alpha vertices, the first maximum set this search
-    meets, and nodes is the search's own count; both may change whenever
-    the branching order does.
+    meets, and nodes is the search's own count; both, and so whether a
+    given budget suffices, may change whenever the branching order does.
 
     Raises ValueError when budget is a bool, not an integer, or negative.
     """

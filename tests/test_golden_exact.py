@@ -68,7 +68,7 @@ def test_exact_nodes_frozen():
 def test_exact_cli_output_frozen(tmp_path, capsys):
     for n in (60, 100):
         path = tmp_path / f"g{n}.hg"
-        argv = ["gen", "--family", "random", "--n", f"{n}", "--r", "3", "--m", f"{n}"]
+        argv = ["gen", "--family", "random", "--n", str(n), "--r", "3", "--m", str(n)]
         assert main([*argv, "--seed", "0", "-o", str(path)]) == 0
         capsys.readouterr()
         assert main(["exact", str(path)]) == 0
