@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from itertools import chain
 from numbers import Integral
 from typing import Iterable, NamedTuple, Optional
 
@@ -320,6 +321,7 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
             em |= 1 << v
             vmask[v] |= 1 << i
         edge_masks.append(em)
+    sizes = range(max(map(len, h.edges), default=0) + 1)
     best = 0
     best_mask = 0
     nodes = 0
@@ -341,25 +343,25 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
             if not lm:  # every edge has an excluded vertex: take all of cand
                 best, best_mask = best + room, cand
                 break
-            pick_eu = 0
-            pick_sz = n + 1
-            packed = 0
+            by_size = [[] for _ in sizes]  # undecided parts by size
             for em in lm:
                 eu = em & und
+                by_size[eu.bit_count()].append(eu)
+            if by_size[0]:  # a live edge lies inside inc: no way out
+                break
+            packed = 0
+            for eu in chain.from_iterable(by_size):
                 if not eu & packed:
-                    # disjoint from the packing: one more forced exclusion,
-                    # or no way out at all when the edge lies inside inc
+                    # disjoint from the packing: one more forced exclusion
                     packed |= eu
-                    room = room - 1 if eu else 0
+                    room -= 1
                     if room <= 0:
                         break
-                sz = eu.bit_count()
-                if sz < pick_sz:
-                    pick_sz, pick_eu = sz, eu
-                elif sz == pick_sz:
-                    pick_eu |= eu
             if room <= 0:
                 break
+            pick_eu = 0
+            for eu in next(b for b in by_size if b):
+                pick_eu |= eu
             v_pick, v_deg = -1, -1
             mm = pick_eu
             while mm:

@@ -7,7 +7,8 @@ instead of branch-and-bound, the search-order oracle
 reference_exact_alpha pushes both children of every node and finds each
 live edge by peeling the lowest bit of a live-edge index mask instead of
 walking a per-node list of edge masks and descending into the exclude
-child in place, the predicate oracles use cubic brute-force
+child in place, and orders the edges it packs by a stable sort on their
+undecided size instead of one bucket per size, the predicate oracles use cubic brute-force
 loops over plain edge lists instead of the package's incidence index
 and neighbour-set intersections, find the linearity, triangle and
 double-linearity witnesses by early-exit scans over those lists, and
@@ -191,11 +192,14 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
     Each stack entry is (undecided, included, live) as bitmasks, live a
     mask of edge indexes; a node's live edges are found by peeling the
     lowest set bit of live, and both children are pushed, include first
-    so that exclude is popped first.  The branching rule (the undecided
-    vertex of highest live degree over the union of the undecided parts
-    of all smallest live edges, lowest id on ties), the packing bound,
-    the witness, the node count and the budget cut-off are exact_alpha's,
-    so the whole AlphaResult must agree.
+    so that exclude is popped first.  The undecided parts of the live
+    edges are put in order by a stable sort on their size, so that the
+    packing takes them smallest first and in index order within a size.
+    The branching rule (the undecided vertex of highest live degree over
+    the union of the undecided parts of all smallest live edges, lowest
+    id on ties), the packing bound, the witness, the node count and the
+    budget cut-off are exact_alpha's, so the whole AlphaResult must
+    agree.
     """
     n = h.n
     edge_masks = []
@@ -224,26 +228,30 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
         if not live:
             best, best_mask = best + room, cand
             continue
-        pick_eu = 0
-        pick_sz = n + 1
-        packed = 0
+        parts = []
         rest = live
         while rest:
             low = rest & -rest
             rest ^= low
-            eu = edge_masks[low.bit_length() - 1] & und
+            parts.append(edge_masks[low.bit_length() - 1] & und)
+        parts.sort(key=int.bit_count)  # stable: index order within a size
+        if not parts[0]:  # a live edge inside inc
+            continue
+        packed = 0
+        for eu in parts:
             if not eu & packed:
                 packed |= eu
-                room = room - 1 if eu else 0
+                room -= 1
                 if room <= 0:
                     break
-            sz = eu.bit_count()
-            if sz < pick_sz:
-                pick_sz, pick_eu = sz, eu
-            elif sz == pick_sz:
-                pick_eu |= eu
         if room <= 0:
             continue
+        pick_sz = parts[0].bit_count()
+        pick_eu = 0
+        for eu in parts:
+            if eu.bit_count() > pick_sz:
+                break
+            pick_eu |= eu
         v_pick, v_deg = -1, -1
         mm = pick_eu
         while mm:

@@ -352,18 +352,27 @@ def test_exact_alpha_matches_enumeration_on_arbitrary_input(h):
 def test_exact_alpha_node_count_n50():
     # a node count repeats exactly, so this guards the bound and the
     # branching rule without timing; the trivial bound |included| +
-    # |undecided| alone needs 455,539 nodes, and branching inside the first
-    # smallest live edge only needs 1,517
+    # |undecided| alone needs 455,539 nodes, branching inside the first
+    # smallest live edge only needs 1,517, and packing in index order
+    # rather than smallest first needs 659
     res = hi.exact_alpha(first_complete(50, 3))
     assert res.exact
-    assert res.nodes <= 800
+    assert res.nodes <= 500
 
 
 def test_exact_alpha_node_count_n80():
-    # branching inside the first smallest live edge only needs 30,233 nodes
+    # branching inside the first smallest live edge only needs 30,233
+    # nodes, and packing in index order rather than smallest first 7,705
     res = hi.exact_alpha(first_complete(80, 3))
     assert res.exact
-    assert res.nodes <= 8000
+    assert res.nodes <= 4000
+
+
+def test_exact_alpha_node_count_n100():
+    # packing in index order rather than smallest first needs 21,415 nodes
+    res = hi.exact_alpha(first_complete(100, 3))
+    assert res.exact
+    assert res.nodes <= 12500
 
 
 # --- verification -----------------------------------------------------------
