@@ -3,9 +3,12 @@
 exact_alpha promises alpha and exact; its witness is the first maximum
 set the exclude-first search meets, and nodes is the search's own
 count, so both move whenever the branching order does.  These digests
-pin that order, and were re-recorded once when the search began to
+pin that order.  They were re-recorded once when the search began to
 branch on the busiest undecided vertex over all smallest live edges,
-not only the first one.
+not only the first one; that moved the witnesses too.  exact_nodes and
+the CLI digests were re-recorded a second time when the packing bound
+began to take the live edges smallest first rather than in index
+order; that moved only the node counts.
 
 exact_witnesses is one sha256 over (alpha, independent_set, exact) of
 exact_alpha on the criterion-7 small corpus, the seven-point plane and
