@@ -31,8 +31,9 @@ print()
 # |I| = potential + sum(deltas) and deltas >= 0 give the guarantee.
 surplus = sum((s.delta for s in cert.steps), Fraction(0))
 assert hi.potential(h, 3) + surplus == len(cert.independent_set)
-floor = math.ceil(cert.guarantee - Fraction(1, 10**9))
-print(f"|I| = {len(cert.independent_set)} >= ceil(guarantee) = {floor}")
+need = math.ceil(cert.guarantee)
+assert len(cert.independent_set) >= need
+print(f"|I| = {len(cert.independent_set)} >= ceil(guarantee) = {need}")
 
 ok, why = hi.verify_independent(h, cert.independent_set)
 print("verifies independent:", ok, why)
