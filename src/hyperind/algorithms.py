@@ -293,7 +293,7 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     become incumbents.  Small parts first pack more edges than index
     order would, so fewer nodes survive: the first complete random r=3
     instance with m = n takes 3,785 / 11,645 / 236,757 nodes at n = 80 /
-    100 / 120 (about 0.04 / 0.19 / 4.8 s on a 2-vCPU Xeon with Python
+    100 / 120 (about 0.05 / 0.19 / 4.5 s on a 2-vCPU Xeon with Python
     3.11.7), about half as many as in index order.  A node that
     survives branches include/exclude on the undecided vertex of
     highest live degree over the parts in the smallest bucket, lowest

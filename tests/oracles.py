@@ -8,10 +8,11 @@ reference_exact_alpha pushes both children of every node and finds each
 live edge by peeling the lowest bit of a live-edge index mask instead of
 walking a per-node list of edge masks and descending into the exclude
 child in place, and orders the edges it packs by a stable sort on their
-undecided size instead of one bucket per size, the predicate oracles use cubic brute-force
-loops over plain edge lists instead of the package's incidence index
-and neighbour-set intersections, find the linearity, triangle and
-double-linearity witnesses by early-exit scans over those lists, and
+undecided size instead of one bucket per size, the predicate oracles
+use cubic brute-force loops over plain edge lists instead of the
+package's incidence index and neighbour-set intersections, find the
+linearity, triangle and double-linearity witnesses by early-exit
+scans over those lists, and
 test every edge against every neighborhood instead of only the edges
 near it, the recurrence oracles iterate in high-precision floating
 point instead of exact rationals (the graph recurrence, which must
