@@ -15,7 +15,9 @@ the same bits.
 cli_bounds_table_r4_d400 is the sha256 of the stdout of
 `hyperind bounds-table --r 4 --d-max 400`, the table whose f_LZ cell at
 d = 369 is misrounded (see hyperind.bounds); CI checks the same digest
-without the test extras.
+without the test extras.  cli_bounds_table_r3_d40_json does the same for
+`hyperind bounds-table --r 3 --d-max 40 --format json`, which prints
+the tolerance and every float in full.
 """
 
 from __future__ import annotations
@@ -60,6 +62,14 @@ def test_bounds_table_cli_output_frozen(capsys):
     assert main(["bounds-table", "--r", "4", "--d-max", "400"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN["cli_bounds_table_r4_d400"]
+
+
+def test_bounds_table_cli_json_output_frozen(capsys):
+    argv = ["bounds-table", "--r", "3", "--d-max", "40", "--format", "json"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == GOLDEN["cli_bounds_table_r3_d40_json"]
 
 
 def _clear_panel_caches():
