@@ -10,7 +10,7 @@ whole-instance chishti bound.
 import hyperind as hi
 
 # Both integral forms stop once their estimated absolute error drops
-# below tol (default 1e-9, adjustable); an estimate, not a proven bound.
+# below a fixed 1e-9; an estimate, not a proven bound.
 print("li_zang(3, 1, x) and chishti(3, x):")
 for x in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
     lz = hi.li_zang(3, 1, x)

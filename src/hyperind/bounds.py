@@ -17,11 +17,12 @@ Four families of per-vertex weight functions are provided:
   pays for each panel's powers once.
 
 The quadrature is not certified.  It stops once an error *estimate*,
-the summed |GL15 - GL7| over its panels, drops below tol; that is not a
-bound on the true error.  So a six-decimal table cell can be misrounded:
-the d_max 400 table prints f_LZ(r=4, m=1, d=369) as 0.043747, where the
-true value 0.0437464998537 rounds to 0.043746.  ROADMAP item 4 plans a
-closed form with a proven error bound.
+the summed |GL15 - GL7| over its panels, drops below the fixed
+tolerance _TOL = 1e-9; that is not a bound on the true error.  So a
+six-decimal table cell can be misrounded: the d_max 400 table prints
+f_LZ(r=4, m=1, d=369) as 0.043747, where the true value 0.0437464998537
+rounds to 0.043746, and li_zang(5, 2, 1e-12) is 9.0e-6 off.  ROADMAP
+item 4 plans a closed form with a proven error bound.
 
 The integrands carry a "+" sign in the denominator
 (``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``): the widely reprinted "-"
@@ -182,8 +183,9 @@ _GL7, _GL15 = _gauss_legendre(7), _gauss_legendre(15)
 _NODES = tuple(x for x, _ in _GL15 + _GL7)
 _W15, _W7 = (tuple(w for _, w in rule) for rule in (_GL15, _GL7))
 _MAX_SPLITS = 20000
-# panels whose node values each cache below keeps; a d_max 400 table at
-# tol 1e-9 visits about 40 panels per (r, m)
+_TOL = 1e-9  # target of li_zang's and chishti's summed error estimate
+# panels whose node values each cache below keeps; a d_max 400 table
+# visits about 40 panels per (r, m)
 _PANEL_CACHE_SIZE = 1024
 
 
@@ -209,12 +211,11 @@ def _adaptive_gl(
     7 GL7 nodes of panel [a, b].  Panels are dyadic halvings of [0, 1],
     so calls at different degrees visit the same panels again, and the
     integrands share their degree-independent node values across calls
-    through _panel_t and _panel_lz_num.  Each panel carries a GL15 value and the estimate
-    |GL15 - GL7|, each rule summed with math.fsum; the worst panel is
-    halved until the summed estimate drops below tol.  Panels are summed
-    in position order so the result does not depend on heap internals.
-    Raises NonConvergent after _MAX_SPLITS splits or once the worst panel
-    can no longer be split in float arithmetic.
+    through _panel_t and _panel_lz_num.  Each panel carries a GL15 value
+    and the estimate |GL15 - GL7|, each rule summed with math.fsum; the
+    worst panel is halved until the summed estimate drops below tol.
+    Raises NonConvergent after _MAX_SPLITS splits or once the worst
+    panel can no longer be split in float arithmetic.
     """
 
     def panel(a: float, b: float) -> tuple[float, float]:
@@ -246,7 +247,7 @@ def _adaptive_gl(
         total_err += e1 + e2 + neg_e
         heapq.heappush(heap, (-e1, a, mid, v1))
         heapq.heappush(heap, (-e2, mid, b, v2))
-    return math.fsum(item[3] for item in sorted(heap, key=lambda t: t[1]))
+    return math.fsum(item[3] for item in heap)
 
 
 def _beta(alpha: float, beta: float) -> float:
@@ -264,12 +265,7 @@ def _check_x(x: Real) -> float:
     return xf
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
-
-
-def li_zang(r: int, m: int, x: Real, tol: float = 1e-9) -> float:
+def li_zang(r: int, m: int, x: Real) -> float:
     """Integral-form bound with neighborhood-degree parameter m.
 
     Evaluates (m/B) int_0^1 (1-t)^(a/m) / (t^b (m + (x-m)t)) dt with
@@ -278,15 +274,15 @@ def li_zang(r: int, m: int, x: Real, tol: float = 1e-9) -> float:
     t^-b endpoint singularity before quadrature.  At x = 0 the denominator
     reduces to m(1-t) and the integral cancels against B exactly, so
     1.0 is returned without quadrature.  A non-finite x raises
-    ValueError, a negative one NegativeDegree.
+    ValueError, a negative one NegativeDegree, and an x > 0 so small
+    that x - m rounds to -m NonConvergent (0/0 where t rounds to 1).
 
-    On success the estimated error is at most tol.  This is an estimate,
+    On success the estimated error is at most _TOL.  This is an estimate,
     not a bound on |result - true value| (see the module docstring).
     """
     _check_r(r)
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    _check_tol(tol)
     xf = _check_x(x)
     if xf == 0.0:
         return 1.0
@@ -301,22 +297,24 @@ def li_zang(r: int, m: int, x: Real, tol: float = 1e-9) -> float:
             for num, t in zip(_panel_lz_num(rm1, gamma, a, b), _panel_t(rm1, a, b))
         ]
 
-    integral = _adaptive_gl(values, tol * bnorm / m)
+    try:
+        integral = _adaptive_gl(values, _TOL * bnorm / m)
+    except ZeroDivisionError:  # 0/0 at t == 1.0 once x - m rounds to -m
+        raise NonConvergent(f"li_zang has no float integrand at x={xf!r}") from None
     return (m / bnorm) * integral
 
 
-def chishti(r: int, x: Real, tol: float = 1e-9) -> float:
+def chishti(r: int, x: Real) -> float:
     """Integral-form bound 1/(r-1) int_0^1 (1-t) / (t^b (1 + ((r-1)x - 1)t)) dt.
 
     Same conventions as li_zang: t = u^(r-1) substitution (the 1/(r-1)
     prefactor then cancels), log-Gamma-free since no normalizer appears,
     and exact 1.0 at x = 0.
 
-    On success the estimated error is at most tol.  This is an estimate,
+    On success the estimated error is at most _TOL.  This is an estimate,
     not a bound on |result - true value| (see the module docstring).
     """
     _check_r(r)
-    _check_tol(tol)
     xf = _check_x(x)
     if xf == 0.0:
         return 1.0
@@ -326,7 +324,7 @@ def chishti(r: int, x: Real, tol: float = 1e-9) -> float:
     def values(a: float, b: float) -> list[float]:
         return [(1.0 - t) / (1.0 + coef * t) for t in _panel_t(rm1, a, b)]
 
-    return _adaptive_gl(values, tol)
+    return _adaptive_gl(values, _TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -357,16 +355,16 @@ def caro_tuza_total(h: Hypergraph, r: int) -> Fraction:
     )
 
 
-def chishti_bound(h: Hypergraph, r: int, tol: float = 1e-9) -> float:
+def chishti_bound(h: Hypergraph, r: int) -> float:
     """n times the chishti value at the average degree.
 
-    The estimated error is at most n * tol, an estimate as in chishti,
+    The estimated error is at most n * _TOL, an estimate as in chishti,
     not a bound.  Raises EmptyHypergraph for n = 0.
     """
     _check_r(r)
     if h.n == 0:
         raise EmptyHypergraph("bound needs at least one vertex")
-    return h.n * chishti(r, h.average_degree(), tol)
+    return h.n * chishti(r, h.average_degree())
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +374,7 @@ def chishti_bound(h: Hypergraph, r: int, tol: float = 1e-9) -> float:
 
 class TableRow(NamedTuple):
     """All four bounds at one degree: two quadrature floats, whose
-    estimated error is at most the table's tol, and two exact Fractions."""
+    estimated error is at most _TOL = 1e-9, and two exact Fractions."""
 
     d: int
     f_lz: float
@@ -394,7 +392,6 @@ def bound_table(
     r: int,
     d_max: int,
     m: int = 1,
-    tol: float = 1e-9,
     max_workers: int = 1,
 ) -> list[TableRow]:
     """Evaluate all four bounds at d = 0..d_max, one row per degree.
@@ -408,8 +405,8 @@ def bound_table(
     return [
         TableRow(
             d=d,
-            f_lz=li_zang(r, m, d, tol),
-            f_czpi=chishti(r, d, tol),
+            f_lz=li_zang(r, m, d),
+            f_czpi=chishti(r, d),
             f_ct=caro_tuza(r, d),
             f_r=potential_weight(r, d),
         )
@@ -428,14 +425,14 @@ def table_to_csv(rows: list[TableRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def table_to_json(rows: list[TableRow], r: int, m: int, tol: float) -> str:
+def table_to_json(rows: list[TableRow], r: int, m: int) -> str:
     """JSON table; exact columns as 'p/q' strings, quadrature columns as floats."""
     import json
 
     payload = {
         "r": r,
         "m": m,
-        "tol": tol,
+        "tol": _TOL,
         "rows": [
             {
                 "d": row.d,

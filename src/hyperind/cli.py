@@ -72,11 +72,11 @@ def cmd_check(args: argparse.Namespace) -> int:
 def cmd_bounds_table(args: argparse.Namespace) -> int:
     from .bounds import bound_table, table_to_csv, table_to_json
 
-    rows = bound_table(args.r, args.d_max, m=args.m, tol=args.tol)
+    rows = bound_table(args.r, args.d_max, m=args.m)
     if args.format == "csv":
         text = table_to_csv(rows)
     else:
-        text = table_to_json(rows, args.r, args.m, args.tol) + "\n"
+        text = table_to_json(rows, args.r, args.m) + "\n"
     _emit(text, args.output)
     return 0
 
@@ -141,7 +141,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     pot = cert.guarantee
     ct = caro_tuza_total(h, args.r)
     # the bound averages over the vertices, so it has no value at n = 0
-    cz_txt = f"{chishti_bound(h, args.r, tol=args.tol):.6f}" if h.n else "n/a"
+    cz_txt = f"{chishti_bound(h, args.r):.6f}" if h.n else "n/a"
     if h.n <= 60 or args.budget is not None:
         budget = args.budget if args.budget is not None else _DEFAULT_EXACT_BUDGET
         res = exact_alpha(h, budget=budget)
@@ -179,7 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--r", type=int, required=True, help="uniformity (>= 2)")
     c.add_argument("--d-max", type=int, required=True, help="largest degree")
     c.add_argument("--m", type=int, default=1, help="neighborhood-degree parameter")
-    c.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
     c.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
     c.set_defaults(func=cmd_bounds_table)
@@ -228,7 +227,6 @@ def _build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compare", help="bounds vs greedy vs exact on one instance")
     c.add_argument("file", help=".hg input path")
     c.add_argument("--r", type=int, required=True, help="uniformity (>= 2)")
-    c.add_argument("--tol", type=float, default=1e-9, help="quadrature tolerance")
     c.add_argument(
         "--budget",
         type=int,

@@ -46,7 +46,7 @@ class NegativeDegree(HyperindError):
 
 
 class NonConvergent(HyperindError):
-    """Numerical integration could not bring its error estimate below tol."""
+    """Quadrature could not reach its error-estimate target in float arithmetic."""
 
 
 class HypothesisViolated(HyperindError):

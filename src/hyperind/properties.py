@@ -55,7 +55,8 @@ def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
     The right side counts the ordered pairs (v, w), v != w, once for each
     edge holding both; the left side counts each such pair once.  So the
     two agree exactly when no pair lies in two edges.  Only on failure
-    does a scan of each edge's pairs find the witness.
+    does a scan of each edge's pairs, on the incidence index, find the
+    witness.
 
     Returns (True, None) or (False, (i, j)) where edges i < j share at
     least two vertices: j is the first edge that repeats a pair, i the
@@ -64,11 +65,11 @@ def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
     covered = sum(map(len, h._neighbor_sets()))
     if covered == sum(len(e) * (len(e) - 1) for e in h.edges):
         return True, None
-    first_edge: dict[tuple[int, int], int] = {}
+    inc = h._incident
     for j, e in enumerate(h.edges):
-        for pair in combinations(e, 2):
-            i = first_edge.setdefault(pair, j)
-            if i != j:
+        for a, b in combinations(e, 2):
+            i = min(set(inc[a]).intersection(inc[b]))
+            if i < j:
                 return False, (i, j)
     raise AssertionError("pair counts differ but no pair repeats")
 

@@ -96,7 +96,10 @@ def test_bounds_table_to_file_matches_stdout(tmp_path, capsys):
 def test_bounds_table_bad_flags(capsys):
     assert run(["bounds-table", "--r", "1", "--d-max", "5"], capsys)[0] == 2
     assert run(["bounds-table", "--r", "3", "--d-max", "-1"], capsys)[0] == 2
-    assert run(["bounds-table", "--r", "3", "--d-max", "5", "--tol", "0"], capsys)[0] == 2
+    # the quadrature tolerance is fixed, so argparse rejects --tol
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds-table", "--r", "3", "--d-max", "5", "--tol", "0"])
+    assert exc.value.code == 2
 
 
 def test_unknown_flag_is_hard_error(capsys):
@@ -105,12 +108,17 @@ def test_unknown_flag_is_hard_error(capsys):
     assert exc.value.code == 2
 
 
-def test_bounds_table_non_finite_tol(capsys):
-    for tol in ("nan", "inf", "-inf"):
-        argv = ["bounds-table", "--r", "3", "--d-max", "2", f"--tol={tol}",
-                "--format", "json"]
-        code, out, err = run(argv, capsys)
-        assert code == 2 and out == "" and "tol" in err
+def test_bounds_table_non_finite_tol(capsys, loose_file):
+    for tol in ("nan", "inf", "-inf", "1e-9"):
+        for argv in (
+            ["bounds-table", "--r", "3", "--d-max", "2", "--format", "json"],
+            ["compare", loose_file, "--r", "3"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + [f"--tol={tol}"])
+            assert exc.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "--tol" in err
 
 
 # --- extract ----------------------------------------------------------------

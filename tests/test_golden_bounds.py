@@ -36,6 +36,7 @@ from oracles import mp_chishti, mp_li_zang
 
 GOLDEN = json.loads((Path(__file__).parent / "golden" / "bounds.json").read_text())
 
+# li_zang's and chishti's fixed error-estimate target
 TOL = 1e-9
 # (r, m) of the frozen tables, all at d_max = 400
 TABLES = [(r, 1) for r in range(2, 7)] + [(3, 2)]
@@ -54,7 +55,7 @@ def test_bound_tables_frozen_at_full_precision():
     sha = hashlib.sha256()
     for r, m in TABLES:
         sha.update(f"r={r} m={m}\n".encode())
-        sha.update(hi.table_to_json(hi.bound_table(r, 400, m=m), r, m, TOL).encode())
+        sha.update(hi.table_to_json(hi.bound_table(r, 400, m=m), r, m).encode())
     assert sha.hexdigest() == GOLDEN["tables_d400_full"]
 
 
@@ -88,7 +89,7 @@ def _grid_points():
 def _evaluate(point):
     fn, r, m, x = point
     args = (r, x) if m is None else (r, m, x)
-    return fn(*args, TOL).hex()
+    return fn(*args).hex()
 
 
 def test_integral_bounds_do_not_depend_on_call_order():
@@ -109,12 +110,11 @@ def test_integral_bounds_do_not_depend_on_call_order():
 
 
 def test_panel_caches_stay_bounded():
-    # a hostile tol must not grow the caches past their maxsize
+    # a call that exhausts the split budget must not grow the caches
+    # past their maxsize
     _clear_panel_caches()
     with pytest.raises(NonConvergent):
-        hi.li_zang(3, 1, 7, tol=1e-30)
-    with pytest.raises(NonConvergent):
-        hi.chishti(4, 7, tol=1e-30)
+        hi.li_zang(3, 5, 1e-12)
     for cache in (_panel_t, _panel_lz_num):
         info = cache.cache_info()
         assert info.misses > info.maxsize
@@ -125,7 +125,7 @@ def test_panel_caches_stay_bounded():
 def test_integral_bounds_within_tol_of_mpmath(r):
     for x in GRID_X:
         for m in (1, 2):
-            got = hi.li_zang(r, m, x, TOL)
+            got = hi.li_zang(r, m, x)
             assert abs(got - float(mp_li_zang(r, m, x))) <= TOL, (r, m, x)
-        got = hi.chishti(r, x, TOL)
+        got = hi.chishti(r, x)
         assert abs(got - float(mp_chishti(r, x))) <= TOL, (r, x)
