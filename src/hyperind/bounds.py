@@ -8,21 +8,24 @@ Four families of per-vertex weight functions are provided:
 * ``caro_tuza`` -- the classical product-form weight, for comparison.
 * ``shearer_s1`` -- the closed-form graph (r = 2) bound; at r = 2
   ``potential_weight`` is the exact graph recurrence, which dominates it.
-* ``li_zang`` / ``chishti`` -- integral-form bounds evaluated by
-  adaptive GL7/GL15 Gauss-Legendre quadrature, in the standard library
-  alone (rules computed at import, fsum sums).
+* ``li_zang`` -- integral-form bound evaluated by adaptive GL7/GL15
+  Gauss-Legendre quadrature, in the standard library alone (rules
+  computed at import, fsum sums).
   Panels are dyadic halvings of [0, 1], so every degree visits the same
   panel nodes; the values there that do not depend on the degree are
   kept in bounded caches and shared across calls, and a bound table
   pays for each panel's powers once.
+* ``chishti`` -- integral-form bound in closed form: a Gauss
+  hypergeometric function, summed by the one series that converges
+  geometrically at the argument and stopped on a proven tail bound.
 
 The quadrature is not certified.  It stops once an error *estimate*,
 the summed |GL15 - GL7| over its panels, drops below the fixed
 tolerance _TOL = 1e-9; that is not a bound on the true error.  So a
-six-decimal table cell can be misrounded: the d_max 400 table prints
-f_LZ(r=4, m=1, d=369) as 0.043747, where the true value 0.0437464998537
-rounds to 0.043746, and li_zang(5, 2, 1e-12) is 9.0e-6 off.  ROADMAP
-item 4 plans a closed form with a proven error bound.
+six-decimal f_LZ table cell can be misrounded: the d_max 400 table
+prints f_LZ(r=4, m=1, d=369) as 0.043747, where the true value
+0.0437464998537 rounds to 0.043746, and li_zang(5, 2, 1e-12) is 9.0e-6
+off.  ROADMAP item 4 plans the same kind of closed form for li_zang.
 
 The integrands carry a "+" sign in the denominator
 (``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``): the widely reprinted "-"
@@ -183,7 +186,7 @@ _GL7, _GL15 = _gauss_legendre(7), _gauss_legendre(15)
 _NODES = tuple(x for x, _ in _GL15 + _GL7)
 _W15, _W7 = (tuple(w for _, w in rule) for rule in (_GL15, _GL7))
 _MAX_SPLITS = 20000
-_TOL = 1e-9  # target of li_zang's and chishti's summed error estimate
+_TOL = 1e-9  # target of li_zang's summed error estimate
 # panels whose node values each cache below keeps; a d_max 400 table
 # visits about 40 panels per (r, m)
 _PANEL_CACHE_SIZE = 1024
@@ -210,12 +213,14 @@ def _adaptive_gl(
     values(a, b) returns the integrand at the 15 GL15 nodes and then the
     7 GL7 nodes of panel [a, b].  Panels are dyadic halvings of [0, 1],
     so calls at different degrees visit the same panels again, and the
-    integrands share their degree-independent node values across calls
+    integrand shares its degree-independent node values across calls
     through _panel_t and _panel_lz_num.  Each panel carries a GL15 value
     and the estimate |GL15 - GL7|, each rule summed with math.fsum; the
-    worst panel is halved until the summed estimate drops below tol.
-    Raises NonConvergent after _MAX_SPLITS splits or once the worst
-    panel can no longer be split in float arithmetic.
+    worst panel is halved until the summed estimate drops below tol,
+    the caller's _TOL on the integral's own scale.  Raises NonConvergent
+    after _MAX_SPLITS splits, with the estimate scaled back against
+    _TOL, or once the worst panel can no longer be split in float
+    arithmetic.
     """
 
     def panel(a: float, b: float) -> tuple[float, float]:
@@ -233,8 +238,8 @@ def _adaptive_gl(
         splits += 1
         if splits > _MAX_SPLITS:
             raise NonConvergent(
-                f"estimated error {total_err:.3e} still above tol={tol:.3e} "
-                f"after {_MAX_SPLITS} panel splits"
+                f"estimated error {total_err * (_TOL / tol):.3e} still above "
+                f"tol={_TOL:.0e} after {_MAX_SPLITS} panel splits"
             )
         neg_e, a, b, _ = heapq.heappop(heap)
         mid = 0.5 * (a + b)
@@ -304,27 +309,115 @@ def li_zang(r: int, m: int, x: Real) -> float:
     return (m / bnorm) * integral
 
 
+# ---------------------------------------------------------------------------
+# chishti in closed form
+# ---------------------------------------------------------------------------
+
+_EPS = 2.0**-53  # chishti's series stop once their tail is below this share
+
+
+def _digamma_gap(q: int) -> float:
+    """psi(1 + 1/q) + Euler's gamma for an integer q >= 2.
+
+    Gauss's digamma theorem at p/q = 1/q, with psi(1 + 1/q) = psi(1/q) + q:
+    q - ln(2q) - (pi/2) cot(pi/q) + 2 sum_{n=1}^{floor((q-1)/2)}
+    cos(2 pi n/q) ln sin(pi n/q).  It costs q/2 terms.
+    """
+    acc = q - math.log(2 * q) - 0.5 * math.pi / math.tan(math.pi / q)
+    for n in range(1, (q + 1) // 2):
+        acc += 2.0 * math.cos(2.0 * math.pi * n / q) * math.log(math.sin(math.pi * n / q))
+    return acc
+
+
+def _hyp1(p: float, q: float, y: float) -> float:
+    """2F1(1, p; q; y) = sum_n (p)_n/(q)_n y^n for p, q > 0 and 0 <= y <= 1/2.
+
+    The term ratios (n+p)/(n+q) y are monotone in n and tend to y, so
+    every ratio after the one that made a term is at most max(that
+    ratio, y), and the tail from that term on is at most the term over
+    1 minus that.  The sum stops once this bound is below _EPS times
+    the partial sum.
+    """
+    total = t = 1.0
+    n = 0
+    while True:
+        ratio = (n + p) / (n + q) * y
+        t *= ratio
+        if t <= _EPS * total * (1.0 - max(ratio, y)):
+            return total + t
+        total += t
+        n += 1
+
+
+def _log_series(a: float, s: float, d: float) -> float:
+    """sum_k c_k s^k (ln s + D_k) for 0 < s < 1/2 and 0 < a <= 1/2.
+
+    c_0 = 1, c_{k+1} = c_k (a+1+k)/(k+1), D_0 = d = psi(1+a) + Euler's
+    gamma and D_{k+1} = D_k + 1/(a+1+k) - 1/(k+1), so D_k = psi(1+a+k) -
+    psi(1+k) falls from D_0 <= 2 - 2 ln 2 < |ln s| toward 0: every term
+    is negative, and the ratios of consecutive terms fall toward s.  The
+    same tail bound as in _hyp1 stops the sum.
+    """
+    ln_s = math.log(s)
+    total = t = ln_s + d
+    c = 1.0
+    k = 0
+    while True:
+        c *= (a + 1 + k) / (k + 1) * s
+        d += 1.0 / (a + 1 + k) - 1.0 / (k + 1)
+        k += 1
+        prev, t = t, c * (ln_s + d)
+        if -t <= _EPS * -total * (1.0 - max(t / prev, s)):
+            return total + t
+        total += t
+
+
 def chishti(r: int, x: Real) -> float:
     """Integral-form bound 1/(r-1) int_0^1 (1-t) / (t^b (1 + ((r-1)x - 1)t)) dt.
 
-    Same conventions as li_zang: t = u^(r-1) substitution (the 1/(r-1)
-    prefactor then cancels), log-Gamma-free since no normalizer appears,
-    and exact 1.0 at x = 0.
+    With b = (r-2)/(r-1), a = 1/(r-1) and s = (r-1)x, the integral is an
+    Euler integral (DLMF 15.6.1): chishti = 2F1(1, a; a+2; 1-s)/(a+1).
+    It is summed in closed form, by the one series that converges
+    geometrically at s, with ratio at most 1/2:
 
-    On success the estimated error is at most _TOL.  This is an estimate,
-    not a bound on |result - true value| (see the module docstring).
+    * s >= 2: the connection formula in u = 1/s (DLMF 15.8.4, with
+      Gamma(1+a) Gamma(1-a) = a pi / sin(a pi)),
+      (a pi / sin a pi) u^a (1-u)^(-a-1) - u/(1-a) 2F1(1, 2; 2-a; u);
+    * 1 <= s < 2: Pfaff's transformation (DLMF 15.8.1) in w = 1 - 1/s,
+      2F1(1, 2; a+2; w) / ((a+1) s);
+    * 1/2 <= s < 1: the defining series in z = 1 - s;
+    * s < 1/2: the logarithmic case c - a - b = 1 (DLMF 15.8.10),
+      1 + a s sum_k c_k s^k (ln s + D_k), see _log_series;
+    * r = 2 (a = 1, where the first and last have no finite
+      coefficients): (x ln x - x + 1)/(x - 1)^2 for x <= 1/2 or x >= 2,
+      and the series in w or z in between.
+
+    Each series stops on a proven tail bound (see _hyp1), so no call
+    raises NonConvergent; against mpmath's hyp2f1 the relative error is
+    within 1e-14.  A non-finite x raises ValueError, a negative one
+    NegativeDegree, and x = 0 gives exactly 1.0.
     """
     _check_r(r)
     xf = _check_x(x)
     if xf == 0.0:
         return 1.0
     rm1 = r - 1
-    coef = rm1 * xf - 1.0
-
-    def values(a: float, b: float) -> list[float]:
-        return [(1.0 - t) / (1.0 + coef * t) for t in _panel_t(rm1, a, b)]
-
-    return _adaptive_gl(values, _TOL)
+    if r == 2 and xf <= 0.5:
+        return (xf * math.log(xf) - xf + 1.0) / (1.0 - xf) ** 2
+    if r == 2 and xf >= 2.0:
+        v = 1.0 / xf  # the same closed form, free of overflow at large x
+        return v * (math.log(xf) - 1.0 + v) / (1.0 - v) ** 2
+    a = 1.0 / rm1
+    s = rm1 * xf
+    if s >= 2.0:
+        u = 1.0 / rm1 / xf  # not 1/s, which is 0 once s overflows
+        head = a * math.pi / math.sin(a * math.pi) * u**a * (1.0 - u) ** (-a - 1.0)
+        return head - u / (1.0 - a) * _hyp1(2.0, 2.0 - a, u)
+    if s >= 1.0:
+        return _hyp1(2.0, a + 2.0, 1.0 - 1.0 / s) / ((a + 1.0) * s)
+    if s >= 0.5:
+        return _hyp1(a, a + 2.0, 1.0 - s) / (a + 1.0)
+    return 1.0 + a * s * _log_series(a, s, _digamma_gap(rm1))
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +451,7 @@ def caro_tuza_total(h: Hypergraph, r: int) -> Fraction:
 def chishti_bound(h: Hypergraph, r: int) -> float:
     """n times the chishti value at the average degree.
 
-    The estimated error is at most n * _TOL, an estimate as in chishti,
-    not a bound.  Raises EmptyHypergraph for n = 0.
+    Raises EmptyHypergraph for n = 0.
     """
     _check_r(r)
     if h.n == 0:
@@ -373,8 +465,9 @@ def chishti_bound(h: Hypergraph, r: int) -> float:
 
 
 class TableRow(NamedTuple):
-    """All four bounds at one degree: two quadrature floats, whose
-    estimated error is at most _TOL = 1e-9, and two exact Fractions."""
+    """All four bounds at one degree: f_lz, a quadrature float whose
+    estimated error is at most _TOL = 1e-9; f_czpi, a closed-form float
+    within 1e-14 relative; and two exact Fractions."""
 
     d: int
     f_lz: float
