@@ -9,15 +9,18 @@ A second sha256, tables_d400_full, covers the same tables through
 table_to_json, which prints every float in full (repr).  It catches a
 last-bit drift that six decimals hide; it was recorded before the
 integral bounds lost their sign switch and the table rows their
-per-cell records.  It rests on the platform's libm (pow, exp) giving
-the same bits.
+per-cell records, and re-recorded when chishti moved from quadrature
+to its closed form, which changed last bits of f_CZPI and no f_LZ bit.
+It rests on the platform's libm (pow, exp, log, sin) giving the same
+bits.
 
 cli_bounds_table_r4_d400 is the sha256 of the stdout of
 `hyperind bounds-table --r 4 --d-max 400`, the table whose f_LZ cell at
 d = 369 is misrounded (see hyperind.bounds); CI checks the same digest
 without the test extras.  cli_bounds_table_r3_d40_json does the same for
 `hyperind bounds-table --r 3 --d-max 40 --format json`, which prints
-the tolerance and every float in full.
+the tolerance and every float in full; it was re-recorded with
+tables_d400_full.
 """
 
 from __future__ import annotations

@@ -114,7 +114,7 @@ def test_record_fields_cannot_be_assigned(rec):
 
 def test_record_repr_pinned():
     assert repr(hi.bound_table(3, 1)[1]) == (
-        "TableRow(d=1, f_lz=0.33333333343709326, f_czpi=0.5707963267948968, "
+        "TableRow(d=1, f_lz=0.33333333343709326, f_czpi=0.5707963267948966, "
         "f_ct=Fraction(2, 3), f_r=Fraction(2, 3))"
     )
     assert repr(hi.exact_alpha(hi.loose_path(2, 3))) == (
