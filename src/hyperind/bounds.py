@@ -325,7 +325,8 @@ def _digamma_gap(q: int) -> float:
     """
     acc = q - math.log(2 * q) - 0.5 * math.pi / math.tan(math.pi / q)
     for n in range(1, (q + 1) // 2):
-        acc += 2.0 * math.cos(2.0 * math.pi * n / q) * math.log(math.sin(math.pi * n / q))
+        angle = math.pi * n / q
+        acc += 2.0 * math.cos(2.0 * angle) * math.log(math.sin(angle))
     return acc
 
 

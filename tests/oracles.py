@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the code paths of the package: the
 quadrature oracles use a fixed-panel composite midpoint rule instead of
-adaptive Gauss-Legendre, the alpha oracle enumerates all 2^n subsets
-instead of branch-and-bound, the search-order oracle
+adaptive Gauss-Legendre, the chishti closed-form oracle calls mpmath's
+hyp2f1 instead of summing the package's series, the alpha oracle
+enumerates all 2^n subsets instead of branch-and-bound, the
+search-order oracle
 reference_exact_alpha pushes both children of every node and finds each
 live edge by peeling the lowest bit of a live-edge index mask instead of
 walking a per-node list of edge masks and descending into the exclude
@@ -166,6 +168,14 @@ def mp_chishti(r: int, x, dps: int = 30, sign: int = 1):
             lambda u: (1 - u**rm1) / (1 + coef * u**rm1),
             [0, 1],
         )
+
+
+def mp_chishti_hyp2f1(r: int, x, dps: int = 40):
+    """chishti's closed form 2F1(1, a; a+2; 1 - (r-1)x)/(a+1), a = 1/(r-1),
+    through mpmath's own hyp2f1 (no quadrature, no series of the package)."""
+    with mp.workdps(dps):
+        a = mp.mpf(1) / (r - 1)
+        return mp.hyp2f1(1, a, a + 2, 1 - (r - 1) * mp.mpf(x)) / (a + 1)
 
 
 # ---------------------------------------------------------------------------

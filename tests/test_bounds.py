@@ -21,6 +21,7 @@ from oracles import (
     brute_li_zang,
     mp_caro_tuza,
     mp_chishti,
+    mp_chishti_hyp2f1,
     mp_li_zang,
     mp_shearer_s1,
     mp_weight_sequence,
@@ -144,7 +145,8 @@ def test_li_zang_pins():
 
 
 def test_chishti_pins():
-    assert hi.chishti(3, 10) == pytest.approx(PIN_CHISHTI_3_10, abs=1e-9)
+    # the closed form is good to a few ulps
+    assert hi.chishti(3, 10) == pytest.approx(PIN_CHISHTI_3_10, abs=1e-14)
     assert abs(PIN_CHISHTI_3_10 - brute_chishti(3, 10.0)) < 1e-8
     assert abs(PIN_CHISHTI_3_10 - float(mp_chishti(3, 10))) < 1e-9
 
@@ -159,7 +161,7 @@ def test_quadrature_at_zero_is_analytic():
 def test_graph_reduction_identities(x):
     s1 = hi.shearer_s1(x)
     assert abs(hi.li_zang(2, 1, x) - s1) < 1e-8
-    assert abs(hi.chishti(2, x) - s1) < 1e-8
+    assert abs(hi.chishti(2, x) - s1) < 1e-14
 
 
 @pytest.mark.parametrize("r,m", [(3, 1), (3, 2), (4, 1), (5, 3)])
@@ -226,9 +228,47 @@ def test_non_finite_argument_raises(bound, x):
 
 
 def test_unreachable_tolerance_raises():
-    # the fixed tolerance is out of reach here within the split budget
-    with pytest.raises(NonConvergent, match="panel splits"):
+    # the fixed tolerance is out of reach here within the split budget;
+    # the message gives the estimate on li_zang's scale against 1e-09,
+    # not against the integral's internally rescaled target
+    with pytest.raises(
+        NonConvergent,
+        match=r"^estimated error \d\.\d{3}e-\d\d still above tol=1e-09 after "
+        r"20000 panel splits$",
+    ):
         hi.li_zang(3, 5, 1e-12)
+
+
+def _chishti_grid(r):
+    # a log grid over x in [1e-300, 1e9], plus the series boundaries
+    # s = (r-1)x in {1/2, 1, 2} and their float neighbours
+    xs = [10.0 ** (k / 4) for k in range(-1200, 37)]
+    for s in (0.5, 1.0, 2.0):
+        x = s / (r - 1)
+        xs += [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+    return xs
+
+
+@pytest.mark.parametrize("r", range(2, 11))
+def test_chishti_against_closed_form_oracle(r):
+    # relative to mpmath's hyp2f1 at 40 digits: every series and the
+    # r = 2 closed form, from x = 1e-300 up, with no NonConvergent
+    worst = 0
+    for x in _chishti_grid(r):
+        want = mp_chishti_hyp2f1(r, x)
+        worst = max(worst, abs(hi.chishti(r, x) - want) / want)
+    assert worst <= 1e-14, worst
+
+
+@pytest.mark.parametrize("r", range(2, 7))
+def test_chishti_table_cells_correctly_rounded(r):
+    # every six-decimal f_CZPI cell of the d_max 400 table is the
+    # rounding of the true value
+    cells = hi.table_to_csv(hi.bound_table(r, 400)).splitlines()[1:]
+    for d, line in enumerate(cells):
+        with mp.workdps(40):
+            q = int(mp.nint(mp_chishti_hyp2f1(r, d) * 10**6))
+        assert line.split(",")[2] == f"{q // 10**6}.{q % 10**6:06d}", (r, d)
 
 
 @pytest.mark.parametrize("r,m,x", [(3, 1, 1e-20), (2, 2, 1e-16), (4, 2, 1e-300)])
