@@ -28,6 +28,10 @@ from .errors import (
 __all__ = ["main"]
 
 _DEFAULT_EXACT_BUDGET = 10**6
+# largest bounds-table --d-max: the exact f_CT and f_r values grow by
+# about 12 bits per degree, so a table's time and memory grow
+# quadratically in d_max (10,000 takes about 5 s and 200 MB)
+_MAX_TABLE_DEGREE = 10_000
 
 
 class _Fail(Exception):
@@ -70,6 +74,8 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_bounds_table(args: argparse.Namespace) -> int:
+    if args.d_max > _MAX_TABLE_DEGREE:
+        raise _Fail(2, f"--d-max must be at most {_MAX_TABLE_DEGREE}, got {args.d_max}")
     from .bounds import bound_table, table_to_csv, table_to_json
 
     rows = bound_table(args.r, args.d_max, m=args.m)

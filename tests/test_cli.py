@@ -102,6 +102,23 @@ def test_bounds_table_bad_flags(capsys):
     assert exc.value.code == 2
 
 
+def test_bounds_table_d_max_cap(capsys, monkeypatch):
+    # the exact columns grow about 12 bits per degree, so an oversized
+    # --d-max exits 2 before any table work starts
+    import hyperind.bounds
+
+    calls = []
+    monkeypatch.setattr(
+        hyperind.bounds, "bound_table", lambda r, d_max, m=1: calls.append(d_max) or []
+    )
+    code, out, err = run(["bounds-table", "--r", "3", "--d-max", "10001"], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert "--d-max must be at most 10000, got 10001" in err
+    assert run(["bounds-table", "--r", "3", "--d-max", str(10**18)], capsys)[0] == 2
+    code, out, _ = run(["bounds-table", "--r", "3", "--d-max", "10000"], capsys)
+    assert (code, out, calls) == (0, "d,f_LZ,f_CZPI,f_CT,f_r\n", [10000])
+
+
 def test_unknown_flag_is_hard_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds-table", "--r", "3", "--d-max", "5", "--frobnicate"])
