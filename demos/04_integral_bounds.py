@@ -1,16 +1,18 @@
 """
-The two integral bounds and their quadrature
-============================================
+The two integral bounds: quadrature and closed form
+===================================================
 
-Shows the adaptive Gauss-Legendre evaluation of the li_zang and chishti
-forms, their r=2 collapse onto the closed graph formula, and the
-whole-instance chishti bound.
+Shows li_zang, evaluated by adaptive Gauss-Legendre quadrature, and
+chishti, summed in closed form as a Gauss hypergeometric function;
+their r=2 collapse onto the closed graph formula; and the whole-instance
+chishti bound.
 """
 
 import hyperind as hi
 
-# Both integral forms stop once their estimated absolute error drops
-# below a fixed 1e-9; an estimate, not a proven bound.
+# li_zang's quadrature stops once its estimated absolute error drops
+# below a fixed 1e-9, an estimate, not a proven bound; chishti's series
+# stop on a proven tail bound, a few ulps from the true value.
 print("li_zang(3, 1, x) and chishti(3, x):")
 for x in (0.0, 0.5, 1.0, 2.0, 5.0, 10.0):
     lz = hi.li_zang(3, 1, x)
