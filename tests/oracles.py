@@ -203,12 +203,17 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
     Each stack entry is (undecided, included, live) as bitmasks, live a
     mask of edge indexes; a node's live edges are found by peeling the
     lowest set bit of live, and both children are pushed, include first
-    so that exclude is popped first.  The undecided parts of the live
-    edges are put in order by a stable sort on their size, so that the
-    packing takes them smallest first and in index order within a size.
-    The branching rule (the undecided vertex of highest live degree over
-    the union of the undecided parts of all smallest live edges, lowest
-    id on ties), the packing bound, the witness, the node count and the
+    so that exclude is popped first.  Each node first applies the unit
+    and leaf rules one at a time, each found by a full scan: the lowest
+    index live edge with at most one undecided vertex kills the node
+    (none) or excludes that vertex (one); failing that, the lowest
+    undecided vertex on exactly one live edge is included.  The
+    undecided parts of the live edges are then put in order by a stable
+    sort on their size, so that the packing takes them smallest first
+    and in index order within a size.  The rules and their order, the
+    branching rule (the undecided vertex of highest live degree over the
+    union of the undecided parts of all smallest live edges, lowest id
+    on ties), the packing bound, the witness, the node count and the
     budget cut-off are exact_alpha's, so the whole AlphaResult must
     agree.
     """
@@ -221,6 +226,13 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
             em |= 1 << v
             vmask[v] |= 1 << i
         edge_masks.append(em)
+
+    def live_indexes(live):
+        while live:
+            low = live & -live
+            live ^= low
+            yield low.bit_length() - 1
+
     best = 0
     best_mask = 0
     nodes = 0
@@ -232,6 +244,31 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
             exact = False
             break
         und, inc, live = stack.pop()
+        dead = False
+        while True:
+            unit = next(
+                (edge_masks[i] & und for i in live_indexes(live)
+                 if (edge_masks[i] & und).bit_count() <= 1),
+                None,
+            )
+            if unit == 0:
+                dead = True
+                break
+            if unit is not None:
+                und &= ~unit
+                live &= ~vmask[unit.bit_length() - 1]
+                continue
+            leaf = next(
+                (v for v in range(n)
+                 if und >> v & 1 and (vmask[v] & live).bit_count() == 1),
+                None,
+            )
+            if leaf is None:
+                break
+            und &= ~(1 << leaf)
+            inc |= 1 << leaf
+        if dead:
+            continue
         cand = und | inc
         room = cand.bit_count() - best
         if room <= 0:
@@ -239,15 +276,8 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
         if not live:
             best, best_mask = best + room, cand
             continue
-        parts = []
-        rest = live
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            parts.append(edge_masks[low.bit_length() - 1] & und)
+        parts = [edge_masks[i] & und for i in live_indexes(live)]
         parts.sort(key=int.bit_count)  # stable: index order within a size
-        if not parts[0]:  # a live edge inside inc
-            continue
         packed = 0
         for eu in parts:
             if not eu & packed:

@@ -302,8 +302,12 @@ def test_compare_rejects_fano(fano_file, capsys):
     assert run(["compare", fano_file, "--r", "3"], capsys)[0] == 1
 
 
-def test_compare_budget_marks_lower_bound(loose_file, capsys):
-    _, out, _ = run(["compare", loose_file, "--r", "3", "--budget", "1"], capsys)
+def test_compare_budget_marks_lower_bound(tmp_path, capsys):
+    # the unit and leaf rules solve a loose path at the root, so this
+    # runs a loose 5-cycle, whose search needs three nodes
+    path = tmp_path / "cycle.hg"
+    hi.write_hg(hi.loose_cycle(5, 3), str(path))
+    _, out, _ = run(["compare", str(path), "--r", "3", "--budget", "1"], capsys)
     assert "exact=>=" in out
 
 
