@@ -8,7 +8,11 @@ branch on the busiest undecided vertex over all smallest live edges,
 not only the first one; that moved the witnesses too.  exact_nodes and
 the CLI digests were re-recorded a second time when the packing bound
 began to take the live edges smallest first rather than in index
-order; that moved only the node counts.
+order; that moved only the node counts.  All five keys were re-recorded
+a third time when every node began to apply the unit and leaf rules
+before the packing bound: a leaf is included ahead of any branching, so
+the first maximum set the search meets moved with the node counts,
+while every alpha stayed the same.
 
 exact_witnesses is one sha256 over (alpha, independent_set, exact) of
 exact_alpha on the criterion-7 small corpus, the seven-point plane and

@@ -118,7 +118,7 @@ def test_record_repr_pinned():
         "f_ct=Fraction(2, 3), f_r=Fraction(2, 3))"
     )
     assert repr(hi.exact_alpha(hi.loose_path(2, 3))) == (
-        "AlphaResult(alpha=4, independent_set=(0, 1, 3, 4), exact=True, nodes=3)"
+        "AlphaResult(alpha=4, independent_set=(0, 1, 3, 4), exact=True, nodes=1)"
     )
 
 
