@@ -285,12 +285,17 @@ def test_exact_alpha_budget():
             hi.exact_alpha(hi.fano(), budget=bad)
 
 
+# single and loose-path-3-3 are solved at the root, so for them the
+# budget = nodes - 1 check below is the budget-0 check; the loose cycle
+# (3 nodes) and the n=60 instance (171 nodes) keep it a real cut
 BOUNDARY_CASES = {
     "fano": hi.fano,
     "loose-path-3-3": lambda: hi.loose_path(3, 3),
     "single": lambda: SINGLE,
     "random-r3-n40-s1": lambda: first_complete(40, 3, 1),
     "random-r3-n44-s2": lambda: first_complete(44, 3, 2),
+    "loose-cycle-5-3": lambda: hi.loose_cycle(5, 3),
+    "random-r3-n60": lambda: first_complete(60, 3),
 }
 
 
@@ -349,30 +354,63 @@ def test_exact_alpha_matches_enumeration_on_arbitrary_input(h):
     assert ok and len(res.independent_set) == res.alpha
 
 
+@pytest.mark.parametrize("k", [1, 2, 5, 20])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_exact_alpha_solves_trees_at_the_root(k, r):
+    # the leaf rule peels a hypertree one edge at a time: no branching;
+    # a loose path is hit by every other shared vertex, a matching needs
+    # one vertex per edge
+    for h, tau in ((hi.loose_path(k, r), (k + 1) // 2), (hi.matching(k, r), k)):
+        res = hi.exact_alpha(h)
+        assert res.exact and res.nodes == 1
+        assert res.alpha == h.n - tau
+        assert hi.verify_independent(h, res.independent_set) == (True, None)
+
+
 def test_exact_alpha_node_count_n50():
-    # a node count repeats exactly, so this guards the bound and the
-    # branching rule without timing; the trivial bound |included| +
-    # |undecided| alone needs 455,539 nodes, branching inside the first
-    # smallest live edge only needs 1,517, and packing in index order
-    # rather than smallest first needs 659
+    # a node count repeats exactly, so this guards the bound, the rules
+    # and the branching rule without timing; the trivial bound
+    # |included| + |undecided| alone needs 455,539 nodes, branching
+    # inside the first smallest live edge only needs 1,517, packing in
+    # index order rather than smallest first 659, and the search without
+    # the unit and leaf rules 447
     res = hi.exact_alpha(first_complete(50, 3))
     assert res.exact
-    assert res.nodes <= 500
+    assert res.nodes <= 100
 
 
 def test_exact_alpha_node_count_n80():
     # branching inside the first smallest live edge only needs 30,233
-    # nodes, and packing in index order rather than smallest first 7,705
+    # nodes, packing in index order rather than smallest first 7,705,
+    # and the search without the unit and leaf rules 3,785
     res = hi.exact_alpha(first_complete(80, 3))
     assert res.exact
-    assert res.nodes <= 4000
+    assert res.nodes <= 500
 
 
 def test_exact_alpha_node_count_n100():
-    # packing in index order rather than smallest first needs 21,415 nodes
+    # packing in index order rather than smallest first needs 21,415
+    # nodes, and the search without the unit and leaf rules 11,645
     res = hi.exact_alpha(first_complete(100, 3))
     assert res.exact
-    assert res.nodes <= 12500
+    assert res.nodes <= 650
+
+
+def test_exact_alpha_node_count_n120():
+    # the search without the unit and leaf rules needs 236,757 nodes
+    res = hi.exact_alpha(first_complete(120, 3))
+    assert res.exact
+    assert res.nodes <= 2650
+
+
+def test_exact_alpha_node_count_r4_n80():
+    # r=4 with m = 60 edges fills at n = 80; the search without the unit
+    # and leaf rules needs 80,613 nodes
+    h, complete = hi.generate(hi.InstanceSpec("random", n=80, r=4, m=60, seed=0))
+    assert complete
+    res = hi.exact_alpha(h)
+    assert res.exact
+    assert res.nodes <= 6800
 
 
 # --- verification -----------------------------------------------------------
