@@ -351,6 +351,16 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
         twice |= once & em
         once |= em
     sizes = range(max(map(len, h.edges), default=0) + 1)
+
+    def on_edges(killed: int) -> int:
+        """The vertices of the edges in the index mask killed."""
+        out = 0
+        while killed:
+            low = killed & -killed
+            killed ^= low
+            out |= edge_masks[low.bit_length() - 1]
+        return out
+
     best = 0
     best_mask = 0
     nodes = 0
@@ -387,11 +397,7 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
                     room -= 1
                     killed = vmask[eu.bit_length() - 1] & live
                     live ^= killed
-                    while killed:
-                        low = killed & -killed
-                        killed ^= low
-                        pv |= edge_masks[low.bit_length() - 1]
-                    pv &= und
+                    pv = (pv | on_edges(killed)) & und
                 else:  # leaf: an undecided vertex on exactly one live edge
                     low = pv & -pv
                     pv ^= low
@@ -445,11 +451,7 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
             # exclude in place: the other vertices of its edges may turn leaves
             live ^= killed
             gone = bit
-            while killed:
-                low = killed & -killed
-                killed ^= low
-                pv |= edge_masks[low.bit_length() - 1]
-            pv &= und
+            pv = on_edges(killed) & und
     witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
     return AlphaResult(alpha=best, independent_set=witness, exact=exact, nodes=nodes)
 
