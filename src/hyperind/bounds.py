@@ -1,20 +1,20 @@
 """Degree-sequence lower bounds on the independence number.
 
-Four families of per-vertex weight functions are provided:
+Five families of per-vertex weight functions are provided:
 
 * ``potential_weight`` -- exact rational recurrence; its sum over the
   degree sequence (``potential``) is the guarantee attained by the
   greedy extractor for r-uniform linear triangle-free input.
 * ``caro_tuza`` -- the classical product-form weight, for comparison.
-* ``shearer_s1`` -- the closed-form graph (r = 2) bound; at r = 2
-  ``potential_weight`` is the exact graph recurrence, which dominates it.
+* ``shearer_s1`` -- the closed-form graph bound, ``chishti`` at r = 2;
+  ``potential_weight`` at r = 2 is the exact graph recurrence above it.
 * ``li_zang`` -- integral-form bound evaluated by adaptive GL7/GL15
   Gauss-Legendre quadrature, in the standard library alone (rules
   computed at import, fsum sums).
   Panels are dyadic halvings of [0, 1], so every degree visits the same
   panel nodes; the values there that do not depend on the degree are
-  kept in bounded caches and shared across calls, and a bound table
-  pays for each panel's powers once.
+  kept in one bounded panel cache, keyed by r and m and shared across
+  calls, so a bound table pays for each panel's powers once.
 * ``chishti`` -- integral-form bound in closed form: a Gauss
   hypergeometric function, summed by the one series that converges
   geometrically at the argument and stopped on a proven tail bound.
@@ -41,7 +41,7 @@ import heapq
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence, Union
+from typing import NamedTuple, Union
 
 from .core import Hypergraph
 from .errors import (
@@ -79,6 +79,15 @@ def _check_r(r: int) -> None:
 def _check_d(d: int) -> None:
     if not isinstance(d, int) or d < 0:
         raise NegativeDegree(f"degree must be a non-negative integer, got {d!r}")
+
+
+def _check_x(x: Real) -> float:
+    xf = float(x)
+    if not math.isfinite(xf):
+        raise ValueError(f"argument must be finite, got {x!r}")
+    if xf < 0:
+        raise NegativeDegree(f"argument must be non-negative, got {x!r}")
+    return xf
 
 
 # ---------------------------------------------------------------------------
@@ -127,22 +136,10 @@ def caro_tuza(r: int, d: int) -> Fraction:
 def shearer_s1(d: Real) -> float:
     """Graph bound (d ln d - d + 1) / (d - 1)^2 at a real argument d >= 0.
 
-    The removable singularity at d = 1 (limit 1/2) is bridged by a
-    three-term series in e = d - 1 for |e| < 1e-4; at d = 0 the value
-    is exactly 1.  A non-finite d raises ValueError, a negative one
-    NegativeDegree.
+    This is chishti(2, d): 1/2 at d = 1, exactly 1.0 at d = 0; a
+    non-finite d raises ValueError, a negative one NegativeDegree.
     """
-    x = float(d)
-    if not math.isfinite(x):
-        raise ValueError(f"degree must be finite, got {d!r}")
-    if x < 0:
-        raise NegativeDegree(f"degree must be non-negative, got {d!r}")
-    if x == 0.0:
-        return 1.0
-    e = x - 1.0
-    if abs(e) < 1e-4:
-        return 0.5 - e / 6.0 + e * e / 12.0
-    return (x * math.log(x) - x + 1.0) / (e * e)
+    return chishti(2, d)
 
 
 def convexity_minorant(r: int, d: int) -> Fraction:
@@ -157,7 +154,7 @@ def convexity_minorant(r: int, d: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Legendre quadrature
+# li_zang by adaptive Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
 
@@ -187,45 +184,65 @@ _NODES = tuple(x for x, _ in _GL15 + _GL7)
 _W15, _W7 = (tuple(w for _, w in rule) for rule in (_GL15, _GL7))
 _MAX_SPLITS = 20000
 _TOL = 1e-9  # target of li_zang's summed error estimate
-# panels whose node values each cache below keeps; a d_max 400 table
-# visits about 40 panels per (r, m)
+# panels _panel keeps; a d_max 400 table visits about 40 per (r, m)
 _PANEL_CACHE_SIZE = 1024
 
 
 @functools.lru_cache(maxsize=_PANEL_CACHE_SIZE)
-def _panel_t(rm1: int, a: float, b: float) -> tuple[float, ...]:
-    """t = min(u^(r-1), 1) at the GL15 and then the GL7 nodes u of [a, b]."""
+def _panel(
+    rm1: int, gamma: float, a: float, b: float
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """li_zang's numerator (r-1)(1-t)^gamma and t = min(u^(r-1), 1) at
+    the GL15 and then the GL7 nodes u of [a, b]."""
     c, hw = 0.5 * (a + b), 0.5 * (b - a)
-    return tuple(min((c + hw * x) ** rm1, 1.0) for x in _NODES)
+    ts = tuple(min((c + hw * x) ** rm1, 1.0) for x in _NODES)
+    return tuple(rm1 * (1.0 - t) ** gamma for t in ts), ts
 
 
-@functools.lru_cache(maxsize=_PANEL_CACHE_SIZE)
-def _panel_lz_num(rm1: int, gamma: float, a: float, b: float) -> tuple[float, ...]:
-    """li_zang's numerator (r-1)(1-t)^gamma at the nodes of _panel_t."""
-    return tuple(rm1 * (1.0 - t) ** gamma for t in _panel_t(rm1, a, b))
+def _beta(alpha: float, beta: float) -> float:
+    return math.exp(
+        math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
+    )
 
 
-def _adaptive_gl(
-    values: Callable[[float, float], Sequence[float]], tol: float
-) -> float:
-    """Globally adaptive Gauss-Legendre integration over [0, 1].
+def li_zang(r: int, m: int, x: Real) -> float:
+    """Integral-form bound with neighborhood-degree parameter m.
 
-    values(a, b) returns the integrand at the 15 GL15 nodes and then the
-    7 GL7 nodes of panel [a, b].  Panels are dyadic halvings of [0, 1],
-    so calls at different degrees visit the same panels again, and the
-    integrand shares its degree-independent node values across calls
-    through _panel_t and _panel_lz_num.  Each panel carries a GL15 value
-    and the estimate |GL15 - GL7|, each rule summed with math.fsum; the
-    worst panel is halved until the summed estimate drops below tol,
-    the caller's _TOL on the integral's own scale.  Raises NonConvergent
-    after _MAX_SPLITS splits, with the estimate scaled back against
-    _TOL, or once the worst panel can no longer be split in float
-    arithmetic.
+    Evaluates (m/B) int_0^1 (1-t)^(a/m) / (t^b (m + (x-m)t)) dt with
+    a = 1/(r-1)^2, b = (r-2)/(r-1) and normalizer B = Beta(1/(r-1), a/m)
+    computed via log-Gamma.  The substitution t = u^(r-1) removes the
+    t^-b endpoint singularity before quadrature.  At x = 0 the denominator
+    reduces to m(1-t) and the integral cancels against B exactly, so
+    1.0 is returned without quadrature.  A non-finite x raises
+    ValueError, a negative one NegativeDegree, and an x > 0 so small
+    that x - m rounds to -m NonConvergent (0/0 where t rounds to 1).
+
+    The quadrature halves the dyadic panel of [0, 1] with the largest
+    |GL15 - GL7| until the summed estimate, on the bound's scale, drops
+    below _TOL: an estimate, not a bound on |result - true value| (see
+    the module docstring).  It raises NonConvergent after _MAX_SPLITS
+    splits or once that panel can no longer be split in float arithmetic.
     """
+    _check_r(r)
+    if not isinstance(m, int) or m < 1:
+        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+    xf = _check_x(x)
+    if xf == 0.0:
+        return 1.0
+    rm1 = r - 1
+    gamma = 1.0 / (rm1 * rm1 * m)  # exponent a/m
+    bnorm = _beta(1.0 / rm1, gamma)
+    k = xf - m
+    tol = _TOL * bnorm / m  # _TOL on the integral's own scale
 
     def panel(a: float, b: float) -> tuple[float, float]:
         hw = 0.5 * (b - a)
-        ys = values(a, b)
+        try:
+            ys = [num / (m + k * t) for num, t in zip(*_panel(rm1, gamma, a, b))]
+        except ZeroDivisionError:  # 0/0 at t == 1.0 once x - m rounds to -m
+            raise NonConvergent(
+                f"li_zang has no float integrand at x={xf!r}"
+            ) from None
         v15 = hw * math.fsum(map(operator.mul, _W15, ys))
         v7 = hw * math.fsum(map(operator.mul, _W7, ys[15:]))
         return v15, abs(v15 - v7)
@@ -252,61 +269,7 @@ def _adaptive_gl(
         total_err += e1 + e2 + neg_e
         heapq.heappush(heap, (-e1, a, mid, v1))
         heapq.heappush(heap, (-e2, mid, b, v2))
-    return math.fsum(item[3] for item in heap)
-
-
-def _beta(alpha: float, beta: float) -> float:
-    return math.exp(
-        math.lgamma(alpha) + math.lgamma(beta) - math.lgamma(alpha + beta)
-    )
-
-
-def _check_x(x: Real) -> float:
-    xf = float(x)
-    if not math.isfinite(xf):
-        raise ValueError(f"argument must be finite, got {x!r}")
-    if xf < 0:
-        raise NegativeDegree(f"argument must be non-negative, got {x!r}")
-    return xf
-
-
-def li_zang(r: int, m: int, x: Real) -> float:
-    """Integral-form bound with neighborhood-degree parameter m.
-
-    Evaluates (m/B) int_0^1 (1-t)^(a/m) / (t^b (m + (x-m)t)) dt with
-    a = 1/(r-1)^2, b = (r-2)/(r-1) and normalizer B = Beta(1/(r-1), a/m)
-    computed via log-Gamma.  The substitution t = u^(r-1) removes the
-    t^-b endpoint singularity before quadrature.  At x = 0 the denominator
-    reduces to m(1-t) and the integral cancels against B exactly, so
-    1.0 is returned without quadrature.  A non-finite x raises
-    ValueError, a negative one NegativeDegree, and an x > 0 so small
-    that x - m rounds to -m NonConvergent (0/0 where t rounds to 1).
-
-    On success the estimated error is at most _TOL.  This is an estimate,
-    not a bound on |result - true value| (see the module docstring).
-    """
-    _check_r(r)
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
-    xf = _check_x(x)
-    if xf == 0.0:
-        return 1.0
-    rm1 = r - 1
-    gamma = 1.0 / (rm1 * rm1 * m)  # exponent a/m
-    bnorm = _beta(1.0 / rm1, gamma)
-    k = xf - m
-
-    def values(a: float, b: float) -> list[float]:
-        return [
-            num / (m + k * t)
-            for num, t in zip(_panel_lz_num(rm1, gamma, a, b), _panel_t(rm1, a, b))
-        ]
-
-    try:
-        integral = _adaptive_gl(values, _TOL * bnorm / m)
-    except ZeroDivisionError:  # 0/0 at t == 1.0 once x - m rounds to -m
-        raise NonConvergent(f"li_zang has no float integrand at x={xf!r}") from None
-    return (m / bnorm) * integral
+    return (m / bnorm) * math.fsum(item[3] for item in heap)
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,12 @@ import pytest
 import hyperind as hi
 from hyperind.bounds import _beta
 from hyperind.cli import main
-from oracles import brute_beta, enumerate_alpha, shearer_s2_sequence
+from oracles import (
+    brute_beta,
+    enumerate_alpha,
+    mp_shearer_s1,
+    shearer_s2_sequence,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -120,7 +125,7 @@ def test_criterion_4_quadrature_anchors_and_beta():
     anchors = [0.0, 0.5, 1.0, 1.5, 2.0, 5.0, 10.0, 40.0]
     worst_anchor = 0.0
     for x in anchors:
-        s1 = hi.shearer_s1(x)
+        s1 = float(mp_shearer_s1(x))
         worst_anchor = max(
             worst_anchor,
             abs(hi.li_zang(2, 1, x) - s1),
@@ -137,7 +142,7 @@ def test_criterion_4_quadrature_anchors_and_beta():
     _crit(
         4,
         worst_anchor <= 1e-8 and worst_beta <= 1e-8,
-        f"r=2 integral forms vs closed form: worst {worst_anchor:.2e} over "
+        f"r=2 integral forms vs mpmath closed form: worst {worst_anchor:.2e} over "
         f"{len(anchors)} anchors (allowed 1e-8); Beta normalizer vs 1e6-panel "
         f"quadrature: worst {worst_beta:.2e} over r in [2,6], m in [1,3] "
         f"(allowed 1e-8)",

@@ -32,7 +32,7 @@ from pathlib import Path
 import pytest
 
 import hyperind as hi
-from hyperind.bounds import _panel_lz_num, _panel_t
+from hyperind.bounds import _panel
 from hyperind.cli import main
 from hyperind.errors import NonConvergent
 from oracles import mp_chishti, mp_li_zang
@@ -76,11 +76,6 @@ def test_bounds_table_cli_json_output_frozen(capsys):
     assert digest == GOLDEN["cli_bounds_table_r3_d40_json"]
 
 
-def _clear_panel_caches():
-    _panel_t.cache_clear()
-    _panel_lz_num.cache_clear()
-
-
 def _grid_points():
     for r in range(2, 7):
         for x in GRID_X:
@@ -96,16 +91,17 @@ def _evaluate(point):
 
 
 def test_integral_bounds_do_not_depend_on_call_order():
-    # The panel caches are keyed by r-1 (and li_zang's exponent), which
-    # the six-decimal digest would not notice missing.  Each value on an
-    # empty cache must equal, bit for bit, the value read in reversed
-    # order after d_max 400 tables for ten (r, m) have filled the caches.
+    # li_zang's panel cache is keyed by r-1 and its exponent, a key
+    # part the six-decimal digest would not notice missing.  Each value
+    # on an empty cache must equal, bit for bit, the value read in
+    # reversed order after d_max 400 tables for ten (r, m) have filled
+    # the cache.
     points = list(_grid_points())
     cold = {}
     for point in points:
-        _clear_panel_caches()
+        _panel.cache_clear()
         cold[point] = _evaluate(point)
-    _clear_panel_caches()
+    _panel.cache_clear()
     for r, m in reversed(TABLES + [(r, 2) for r in (2, 4, 5, 6)]):
         hi.bound_table(r, 400, m=m)
     warm = {point: _evaluate(point) for point in reversed(points)}
@@ -113,15 +109,14 @@ def test_integral_bounds_do_not_depend_on_call_order():
 
 
 def test_panel_caches_stay_bounded():
-    # a call that exhausts the split budget must not grow the caches
-    # past their maxsize
-    _clear_panel_caches()
+    # a call that exhausts the split budget must not grow the cache past
+    # its maxsize
+    _panel.cache_clear()
     with pytest.raises(NonConvergent):
         hi.li_zang(3, 5, 1e-12)
-    for cache in (_panel_t, _panel_lz_num):
-        info = cache.cache_info()
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize
+    info = _panel.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
 
 
 @pytest.mark.parametrize("r", [2, 3, 4, 5])
