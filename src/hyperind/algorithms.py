@@ -77,15 +77,15 @@ class ExtractionCertificate(NamedTuple):
         from .bounds import as_ratio
 
         payload = {
-            "independent_set": list(self.independent_set),
+            "independent_set": self.independent_set,
             "guarantee": as_ratio(self.guarantee),
             "steps": [
-                {"x": s.x, "R": list(s.slot), "delta": as_ratio(s.delta)}
+                {"x": s.x, "R": s.slot, "delta": as_ratio(s.delta)}
                 for s in self.steps
             ],
             "guaranteed": self.guaranteed,
         }
-        return json.dumps(payload, separators=(", ", ": "))
+        return json.dumps(payload)
 
 
 class _Residual:
@@ -285,9 +285,10 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
 
     Each node first applies two reductions of d-Hitting Set (alpha = n -
     tau; Weihe 1998, Abu-Khzam 2010), which on linear input shrink to:
-      - unit: the lowest-index live edge with at most one undecided
-        vertex.  With none, that edge lies inside the included set and
-        the node is dead; with one, that vertex is excluded;
+      - unit: the lowest-index live edge with exactly one undecided
+        vertex has it excluded.  No live edge is left with none, since
+        exclusions only kill edges and an inclusion, by leaf or branch,
+        leaves each of its live edges another undecided vertex;
       - leaf: failing that, the lowest-id undecided vertex on exactly
         one live edge is included.  That edge still holds another
         undecided vertex, since unit is checked first, and swapping it
@@ -381,17 +382,14 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
                 break
             room = (und | inc).bit_count() - best
             while room > 0 and (pe or pv):  # unit and leaf rules
-                if pe:  # unit: a live edge with at most one undecided vertex
+                if pe:  # unit: a live edge with one undecided vertex
                     low = pe & -pe
                     pe ^= low
                     if not low & live:
                         continue
                     eu = edge_masks[low.bit_length() - 1] & und
-                    if eu & (eu - 1):
+                    if eu & (eu - 1):  # never 0: see the docstring
                         continue
-                    if not eu:  # a live edge lies inside inc: no way out
-                        room = 0
-                        break
                     und ^= eu
                     gone |= eu
                     room -= 1

@@ -489,7 +489,7 @@ def table_to_csv(rows: list[TableRow]) -> str:
 
 
 def table_to_json(rows: list[TableRow], r: int, m: int) -> str:
-    """JSON table; exact columns as 'p/q' strings, quadrature columns as floats."""
+    """JSON table; exact columns as 'p/q' strings, f_LZ and f_CZPI as floats."""
     import json
 
     payload = {
@@ -507,4 +507,4 @@ def table_to_json(rows: list[TableRow], r: int, m: int) -> str:
             for row in rows
         ],
     }
-    return json.dumps(payload, separators=(", ", ": "))
+    return json.dumps(payload)

@@ -67,8 +67,7 @@ def _emit(text: str, output: str) -> None:
 def cmd_check(args: argparse.Namespace) -> int:
     from .properties import property_report
 
-    h = _load(args.file)
-    report = property_report(h)
+    report = property_report(_load(args.file))
     _emit(report.to_json() + "\n", args.output)
     return 0 if report.hypotheses_hold() else 1
 
@@ -90,8 +89,7 @@ def cmd_bounds_table(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     from .algorithms import greedy_extract
 
-    h = _load(args.file)
-    cert = greedy_extract(h, args.r, unsafe=args.unsafe)
+    cert = greedy_extract(_load(args.file), args.r, unsafe=args.unsafe)
     _emit(cert.to_json() + "\n", args.output)
     return 0 if cert.guaranteed else 1
 
@@ -99,39 +97,23 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     from .algorithms import exact_alpha
 
-    h = _load(args.file)
-    result = exact_alpha(h, budget=args.budget)
-    payload = {
-        "alpha": result.alpha,
-        "independent_set": list(result.independent_set),
-        "exact": result.exact,
-        "nodes": result.nodes,
-    }
-    _emit(json.dumps(payload, separators=(", ", ": ")) + "\n", args.output)
+    result = exact_alpha(_load(args.file), budget=args.budget)
+    _emit(json.dumps(result._asdict()) + "\n", args.output)
     return 0 if result.exact else 1
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
     from .generators import InstanceSpec, generate
 
-    spec = InstanceSpec(
-        family=args.family, n=args.n, r=args.r, m=args.m, seed=args.seed
-    )
+    spec = InstanceSpec(args.family, args.n, args.r, args.m, args.seed)
     h, complete = generate(spec)
     _emit(format_hg(h), args.output)
     if args.output != "-":
-        sidecar = {
-            "spec": json.loads(spec.to_json()),
-            "n": h.n,
-            "m": h.m,
-            "complete": complete,
-        }
-        sidecar_text = json.dumps(sidecar, separators=(", ", ": ")) + "\n"
-        _write(args.output + ".json", sidecar_text)
+        sidecar = {"spec": spec._asdict(), "n": h.n, "m": h.m, "complete": complete}
+        _write(args.output + ".json", json.dumps(sidecar) + "\n")
     if not complete:
         print(
-            f"warning: reached only {h.m} of {args.m} edges before the "
-            f"rejection cap",
+            f"warning: reached only {h.m} of {args.m} edges before the rejection cap",
             file=sys.stderr,
         )
         return 1
@@ -176,42 +158,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("check", help="print the predicate report of a .hg file")
-    c.add_argument("file", help=".hg input path")
-    c.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
-    c.set_defaults(func=cmd_check)
+    def command(name, func, help, file=False, r=False):
+        c = sub.add_parser(name, help=help)
+        if file:
+            c.add_argument("file", help=".hg input path")
+        if r:
+            c.add_argument("--r", type=int, required=True, help="uniformity (>= 2)")
+        c.set_defaults(func=func)
+        return c
 
-    c = sub.add_parser("bounds-table", help="tabulate all four bound functions")
-    c.add_argument("--r", type=int, required=True, help="uniformity (>= 2)")
+    command("check", cmd_check, "print the predicate report of a .hg file", file=True)
+
+    c = command(
+        "bounds-table", cmd_bounds_table, "tabulate all four bound functions", r=True
+    )
     c.add_argument("--d-max", type=int, required=True, help="largest degree")
     c.add_argument("--m", type=int, default=1, help="neighborhood-degree parameter")
     c.add_argument("--format", choices=("csv", "json"), default="csv")
-    c.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
-    c.set_defaults(func=cmd_bounds_table)
 
-    c = sub.add_parser("extract", help="greedy extraction with certificate")
-    c.add_argument("file", help=".hg input path")
-    c.add_argument("--r", type=int, required=True, help="uniformity (>= 2)")
+    c = command(
+        "extract", cmd_extract, "greedy extraction with certificate", file=True, r=True
+    )
     c.add_argument(
         "--unsafe",
         action="store_true",
         help="run even when preconditions fail (certificate not guaranteed)",
     )
-    c.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
-    c.set_defaults(func=cmd_extract)
 
-    c = sub.add_parser("exact", help="branch-and-bound independence number")
-    c.add_argument("file", help=".hg input path")
+    c = command("exact", cmd_exact, "branch-and-bound independence number", file=True)
     c.add_argument(
         "--budget",
         type=int,
         default=None,
         help="node limit (unlimited when omitted); exceeding it flags the result",
     )
-    c.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
-    c.set_defaults(func=cmd_exact)
 
-    c = sub.add_parser("gen", help="write a generated instance as .hg")
+    c = command("gen", cmd_gen, "write a generated instance as .hg")
     c.add_argument("--family", choices=FAMILIES, required=True)
     c.add_argument("--n", type=int, default=0, help="vertices (random family)")
     c.add_argument("--r", type=int, default=3, help="uniformity")
@@ -222,25 +204,24 @@ def _build_parser() -> argparse.ArgumentParser:
         help="edge target (random) or edge count k (named families)",
     )
     c.add_argument("--seed", type=int, default=0, help="RNG seed (random family)")
-    c.add_argument(
-        "-o",
-        "--output",
-        default="-",
-        help="output path ('-' = stdout); a file also gets a .json sidecar",
-    )
-    c.set_defaults(func=cmd_gen)
 
-    c = sub.add_parser("compare", help="bounds vs greedy vs exact on one instance")
-    c.add_argument("file", help=".hg input path")
-    c.add_argument("--r", type=int, required=True, help="uniformity (>= 2)")
+    c = command(
+        "compare", cmd_compare, "bounds vs greedy vs exact on one instance",
+        file=True, r=True,
+    )
     c.add_argument(
         "--budget",
         type=int,
         default=None,
         help="run exact search with this node limit even when n > 60",
     )
-    c.add_argument("-o", "--output", default="-", help="output path ('-' = stdout)")
-    c.set_defaults(func=cmd_compare)
+
+    # -o comes last, so help and usage list it after each command's own options
+    for name, c in sub.choices.items():
+        note = "; a file also gets a .json sidecar" if name == "gen" else ""
+        c.add_argument(
+            "-o", "--output", default="-", help=f"output path ('-' = stdout){note}"
+        )
     return p
 
 

@@ -124,24 +124,13 @@ class InstanceSpec(NamedTuple):
     seed: int = 0
 
     def to_json(self) -> str:
-        payload = {
-            "family": self.family,
-            "n": self.n,
-            "r": self.r,
-            "m": self.m,
-            "seed": self.seed,
-        }
-        return json.dumps(payload, separators=(", ", ": "))
+        return json.dumps(self._asdict())
 
     @staticmethod
     def from_json(text: str) -> "InstanceSpec":
         data = json.loads(text)
         return InstanceSpec(
-            family=data["family"],
-            n=data["n"],
-            r=data["r"],
-            m=data["m"],
-            seed=data.get("seed", 0),
+            data["family"], data["n"], data["r"], data["m"], data.get("seed", 0)
         )
 
 

@@ -187,15 +187,7 @@ class PropertyReport(NamedTuple):
         return self.uniform_r is not None and self.linear and self.triangle_free
 
     def to_json(self) -> str:
-        payload = {
-            "uniform_r": self.uniform_r,
-            "linear": self.linear,
-            "triangle_free": self.triangle_free,
-            "double_linear": self.double_linear,
-            "nbhd_max_degree": self.nbhd_max_degree,
-            "witness": self.witness,
-        }
-        return json.dumps(payload, separators=(", ", ": "))
+        return json.dumps(self._asdict())
 
 
 def property_report(h: Hypergraph) -> PropertyReport:

@@ -205,17 +205,17 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
     lowest set bit of live, and both children are pushed, include first
     so that exclude is popped first.  Each node first applies the unit
     and leaf rules one at a time, each found by a full scan: the lowest
-    index live edge with at most one undecided vertex kills the node
-    (none) or excludes that vertex (one); failing that, the lowest
-    undecided vertex on exactly one live edge is included.  The
-    undecided parts of the live edges are then put in order by a stable
-    sort on their size, so that the packing takes them smallest first
-    and in index order within a size.  The rules and their order, the
-    branching rule (the undecided vertex of highest live degree over the
-    union of the undecided parts of all smallest live edges, lowest id
-    on ties), the packing bound, the witness, the node count and the
-    budget cut-off are exact_alpha's, so the whole AlphaResult must
-    agree.
+    index live edge with at most one undecided vertex excludes that
+    vertex, and it is asserted that no live edge lies inside the
+    included set; failing that, the lowest undecided vertex on exactly
+    one live edge is included.  The undecided parts of the live edges
+    are then put in order by a stable sort on their size, so that the
+    packing takes them smallest first and in index order within a size.
+    The rules and their order, the branching rule (the undecided vertex
+    of highest live degree over the union of the undecided parts of all
+    smallest live edges, lowest id on ties), the packing bound, the
+    witness, the node count and the budget cut-off are exact_alpha's, so
+    the whole AlphaResult must agree.
     """
     n = h.n
     edge_masks = []
@@ -244,16 +244,13 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
             exact = False
             break
         und, inc, live = stack.pop()
-        dead = False
         while True:
             unit = next(
                 (edge_masks[i] & und for i in live_indexes(live)
                  if (edge_masks[i] & und).bit_count() <= 1),
                 None,
             )
-            if unit == 0:
-                dead = True
-                break
+            assert unit != 0, "a live edge lies inside the included set"
             if unit is not None:
                 und &= ~unit
                 live &= ~vmask[unit.bit_length() - 1]
@@ -267,8 +264,6 @@ def reference_exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaR
                 break
             und &= ~(1 << leaf)
             inc |= 1 << leaf
-        if dead:
-            continue
         cand = und | inc
         room = cand.bit_count() - best
         if room <= 0:
