@@ -293,17 +293,17 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
         one live edge is included.  That edge still holds another
         undecided vertex, since unit is checked first, and swapping it
         for the leaf never loses.
-    They fire one at a time until neither does.  A node keeps the edges
-    and vertices that may have turned unit or leaf as pending bitmasks
-    and pops edges before vertices, lowest bit first: an inclusion makes
-    its edges pending, an exclusion the undecided vertices on the edges
-    it kills, and the root its one-vertex edges and degree-1 vertices.
-    Every node starts from its parent's fixpoint, so this finds the same
-    rule in the same order as a full scan would.
+    They fire one at a time until neither does.  Pending bitmasks hold a
+    superset of the unit edges and leaves; edges pop before vertices,
+    lowest bit first, and each pop re-checks its rule.  The root has
+    every edge and vertex pending, an inclusion adds the included
+    vertex's edges, and an exclusion of x the undecided vertices on x's
+    edges.  Only inclusions make units and only exclusions make leaves,
+    so this finds the same rule in the same order as a full scan would.
 
-    One pass over the live-edge list then drops the edges killed since
-    it was built and puts each undecided part into a bucket by its size.
-    The search packs parts that are pairwise disjoint, greedily,
+    One pass over the live-edge list then drops the edges that hold an
+    excluded vertex and puts each undecided part into a bucket by its
+    size.  The search packs parts that are pairwise disjoint, greedily,
     smallest size first and in index order within a size; each packed
     edge forces one more exclusion, so a node is pruned when |included|
     + |undecided| - packed <= best.  Such a subtree cannot beat the
@@ -320,10 +320,9 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
 
     The leaf rule peels tree-like parts, so a loose path or a matching
     is solved at the root.  The first complete random r=3 instance with
-    m = n takes 89 / 443 / 581 / 2,367 nodes at n = 50 / 80 / 100 / 120
-    (447 / 3,785 / 11,645 / 236,757 without the rules), and n = 120
-    takes about 0.1 s on a 2-vCPU Xeon with Python 3.11.7 (4.5 s
-    without); n = 175 takes 16,793 nodes, about 1 s.
+    m = n takes 89 / 443 / 581 / 2,367 nodes at n = 50 / 80 / 100 / 120,
+    and n = 120 takes about 0.1 s on a 2-vCPU Xeon with Python 3.11.7;
+    n = 175 takes 16,793 nodes, about 1 s.
 
     Only an exact alpha is fixed by the instance.  The witness is an
     independent set of alpha vertices, the first maximum set this search
@@ -340,41 +339,29 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     n = h.n
     edge_masks = []
     vmask = [0] * n  # vertex -> mask of the indexes of its edges
-    units = once = twice = 0  # the root's unit edges and leaves
+    near = [0] * n  # vertex -> mask of the vertices of its edges
     for i, e in enumerate(h.edges):
         em = 0
         for v in e:
             em |= 1 << v
             vmask[v] |= 1 << i
         edge_masks.append(em)
-        if len(e) == 1:
-            units |= 1 << i
-        twice |= once & em
-        once |= em
+        for v in e:
+            near[v] |= em
+    full = (1 << n) - 1
     sizes = range(max(map(len, h.edges), default=0) + 1)
-
-    def on_edges(killed: int) -> int:
-        """The vertices of the edges in the index mask killed."""
-        out = 0
-        while killed:
-            low = killed & -killed
-            killed ^= low
-            out |= edge_masks[low.bit_length() - 1]
-        return out
-
     best = 0
     best_mask = 0
     nodes = 0
     exact = True
     # (undecided, included, live, live-edge list, pending edges, pending
     # vertices): every unit edge and every leaf of a node is pending
+    every_edge = (1 << len(edge_masks)) - 1
     stack: list[tuple[int, int, int, list[int], int, int]] = (
-        [((1 << n) - 1, 0, (1 << len(edge_masks)) - 1, edge_masks, units, once & ~twice)]
-        if n else []
+        [(full, 0, every_edge, edge_masks, every_edge, full)] if n else []
     )
     while exact and stack:
         und, inc, live, lm, pe, pv = stack.pop()
-        gone = 0  # vertices excluded since lm was last filtered
         while True:  # this node, then its exclude child in place
             nodes += 1
             if budget is not None and nodes > budget:
@@ -391,11 +378,10 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
                     if eu & (eu - 1):  # never 0: see the docstring
                         continue
                     und ^= eu
-                    gone |= eu
                     room -= 1
-                    killed = vmask[eu.bit_length() - 1] & live
-                    live ^= killed
-                    pv = (pv | on_edges(killed)) & und
+                    x = eu.bit_length() - 1
+                    live &= ~vmask[x]
+                    pv = (pv | near[x]) & und
                 else:  # leaf: an undecided vertex on exactly one live edge
                     low = pv & -pv
                     pv ^= low
@@ -410,14 +396,14 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
                 best, best_mask = best + room, und | inc
                 break
             by_size = [[] for _ in sizes]  # undecided parts by size
-            kept = []  # lm without the edges killed since it was built
+            kept = []  # lm without the edges that hold an excluded vertex
+            excluded = full ^ (und | inc)
             for em in lm:
-                if not em & gone:
+                if not em & excluded:
                     kept.append(em)
                     eu = em & und
                     by_size[eu.bit_count()].append(eu)
             lm = kept
-            gone = 0
             packed = 0
             for bucket in by_size:  # smallest first, index order within
                 for eu in bucket:
@@ -443,13 +429,11 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
                 mm ^= low
             bit = 1 << v_pick
             und ^= bit
-            killed = vmask[v_pick] & live
             # include, explored later: the edges of v_pick may turn unit
-            stack.append((und, inc | bit, live, lm, killed, 0))
+            stack.append((und, inc | bit, live, lm, vmask[v_pick], 0))
             # exclude in place: the other vertices of its edges may turn leaves
-            live ^= killed
-            gone = bit
-            pv = on_edges(killed) & und
+            live &= ~vmask[v_pick]
+            pv = near[v_pick] & und
     witness = tuple(v for v in range(n) if (best_mask >> v) & 1)
     return AlphaResult(alpha=best, independent_set=witness, exact=exact, nodes=nodes)
 

@@ -25,7 +25,7 @@ tolerance _TOL = 1e-9; that is not a bound on the true error.  So a
 six-decimal f_LZ table cell can be misrounded: the d_max 400 table
 prints f_LZ(r=4, m=1, d=369) as 0.043747, where the true value
 0.0437464998537 rounds to 0.043746, and li_zang(5, 2, 1e-12) is 9.0e-6
-off.  ROADMAP item 4 plans the same kind of closed form for li_zang.
+off.  ROADMAP item 2 plans the same kind of closed form for li_zang.
 
 The integrands carry a "+" sign in the denominator
 (``m + (x-m)t`` and ``1 + ((r-1)x - 1)t``): the widely reprinted "-"

@@ -26,6 +26,11 @@ __all__ = [
 # without loading the generators module
 FAMILIES = ("random", "loose_path", "loose_cycle", "matching", "fano")
 
+# largest vertex count a .hg header may declare: Hypergraph builds one
+# incidence list per vertex before it reads any edge, about 80 bytes
+# each, so the cap keeps a 13-byte header from asking for gigabytes
+_MAX_HG_VERTICES = 10**6
+
 
 class Hypergraph:
     """Immutable hypergraph: incidence built eagerly, neighbourhoods on first use.
@@ -145,8 +150,9 @@ class Hypergraph:
 def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text into a Hypergraph.
 
-    Raises HgFormatError for malformed text and InvalidVertex/EmptyEdge
-    for ids outside the declared range.
+    Raises HgFormatError for malformed text, including a declared vertex
+    count above 10^6, and InvalidVertex/EmptyEdge for ids outside the
+    declared range.
     """
     payload = []
     for raw in text.splitlines():
@@ -165,6 +171,8 @@ def parse_hg(text: str) -> Hypergraph:
         raise HgFormatError(f"non-integer header field in {payload[0]!r}") from exc
     if m < 0:
         raise HgFormatError(f"negative edge count {m}")
+    if n > _MAX_HG_VERTICES:
+        raise HgFormatError(f"vertex count {n} exceeds the cap {_MAX_HG_VERTICES}")
     body = payload[1:]
     if len(body) != m:
         raise HgFormatError(f"expected {m} edge lines, found {len(body)}")

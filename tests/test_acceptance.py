@@ -28,7 +28,11 @@ criteria, with their tolerances and runtime budgets:
    neighborhood max degree < 1) on every uniform linear corpus instance;
 9. every CLI command is byte-deterministic, across repeated runs and
    across processes: each subcommand prints the same stdout in fresh
-   processes under PYTHONHASHSEED in {0, 1, 4242} as in-process.
+   processes under PYTHONHASHSEED in {0, 1, 4242} as in-process;
+10. the paper's "considerably improving" claim: f_r exceeds both f_LZ
+    and f_CZPI by more than 1e-9 for r in [3,10], m in {1,2,3},
+    d in [1,400], and for r=2, m=1, d in [2,400] (at d=1 all three
+    are 1/2), < 10 s.
 """
 
 from __future__ import annotations
@@ -313,4 +317,27 @@ def test_criterion_9_cli_determinism(tmp_path, capsys):
         f"runs; {hash_stable}/{len(commands)} identical in fresh processes "
         f"under PYTHONHASHSEED in {{0,1,4242}}; fresh-process output "
         f"identical: {process_ok}",
+    )
+
+
+def test_criterion_10_improves_on_li_zang_and_chishti():
+    t0 = time.perf_counter()
+    cases = [(r, m, 1) for r in range(3, 11) for m in (1, 2, 3)] + [(2, 1, 2)]
+    bad = 0
+    margin, where = math.inf, None
+    for r, m, d_min in cases:
+        for row in hi.bound_table(r, 400, m=m)[d_min:]:
+            gap = min(row.f_r - Fraction(row.f_lz), row.f_r - Fraction(row.f_czpi))
+            if gap <= 1e-9:
+                bad += 1
+            if gap < margin:
+                margin, where = gap, (r, m, row.d)
+    elapsed = time.perf_counter() - t0
+    _crit(
+        10,
+        bad == 0 and elapsed < 10.0,
+        f"f_r > max(f_LZ, f_CZPI) + 1e-9 for r in [3,10], m in {{1,2,3}}, "
+        f"d in [1,400] and r=2, m=1, d in [2,400]; {bad} violations; "
+        f"smallest margin {float(margin):.2e} at (r, m, d) = {where}; "
+        f"{elapsed:.2f}s (budget 10s)",
     )

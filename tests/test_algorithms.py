@@ -196,6 +196,49 @@ def test_greedy_unsafe_override():
     assert loose_unsafe.steps == safe.steps
 
 
+def _ag23():
+    """The affine plane AG(2,3): the points of GF(3)^2, and the lines
+    {a, b, -a-b}, the Steiner triple system on 9 points."""
+    points = [(x, y) for x in range(3) for y in range(3)]
+    lines = {
+        frozenset((a, b, ((-a[0] - b[0]) % 3, (-a[1] - b[1]) % 3)))
+        for a in points
+        for b in points
+        if a != b
+    }
+    return hi.Hypergraph(9, [[3 * x + y for x, y in line] for line in lines])
+
+
+def test_ag23_shows_where_the_theorem_stops():
+    # 3-uniform, linear and double-linear, but not triangle-free: the
+    # potential exceeds alpha, and the greedy's first step loses
+    h = _ag23()
+    assert (h.n, h.m) == (9, 12)
+    report = hi.property_report(h)
+    assert report.uniform_r == 3 and report.linear and report.double_linear
+    assert not report.triangle_free
+    pot = hi.potential(h, 3)
+    assert pot == Fraction(841, 209)
+    res = hi.exact_alpha(h)
+    assert res.exact and res.alpha == 4 == enumerate_alpha(h) < pot
+    cert = hi.greedy_extract(h, 3, unsafe=True)
+    assert [s.delta for s in cert.steps] == [Fraction(-5, 209), 0, 0, 0]
+    assert len(cert.independent_set) == 4 < math.ceil(pot)
+    assert hi.verify_independent(h, cert.independent_set)[0]
+
+
+def test_fano_keeps_the_bound_off_the_hypotheses():
+    # the Fano plane has triangles too, but no step loses, so the
+    # greedy still reaches ceil(potential)
+    h = hi.fano()
+    pot = hi.potential(h, 3)
+    assert pot == Fraction(196, 57)
+    cert = hi.greedy_extract(h, 3, unsafe=True)
+    assert [s.delta for s in cert.steps] == [Fraction(32, 57), 0, 0, 0]
+    assert len(cert.independent_set) == math.ceil(pot) == 4
+    assert hi.exact_alpha(h).alpha == 4 >= math.ceil(pot)
+
+
 def test_greedy_unsafe_short_and_one_vertex_edges():
     # the kept 0 takes slot (2,): the short edge's last vertex fills the
     # slots it leaves over, so 4 cannot be kept with 0 and 2

@@ -59,6 +59,16 @@ def test_check_malformed(tmp_path, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_check_refuses_oversized_header(tmp_path, capsys):
+    # a 13-byte file declaring 10^9 vertices is refused before any
+    # per-vertex list is built
+    huge = tmp_path / "huge.hg"
+    huge.write_text("1000000000 0\n")
+    code, out, err = run(["check", str(huge)], capsys)
+    assert (code, out) == (2, "")
+    assert "vertex count 1000000000 exceeds the cap 1000000" in err
+
+
 def test_check_missing_file(capsys):
     code, _, err = run(["check", "/nonexistent/x.hg"], capsys)
     assert code == 2 and "cannot read" in err

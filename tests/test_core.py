@@ -157,11 +157,18 @@ def test_parse_hg_unsorted_input_canonicalizes():
         "5 2\n0 1 2\n",  # too few edge lines
         "5 1\n0 1 2\n2 3 4\n",  # too many edge lines
         "5 1\n0 x 2\n",  # non-integer vertex
+        "1000001 0\n",  # vertex count above the cap
+        "1000000000 0\n",
     ],
 )
 def test_parse_hg_malformed(text):
     with pytest.raises(HgFormatError):
         hi.parse_hg(text)
+
+
+def test_parse_hg_admits_large_vertex_counts():
+    h = hi.parse_hg("100000 1\n0 99999\n")
+    assert (h.n, h.m, h.degree(99999)) == (100000, 1, 1)
 
 
 def test_parse_hg_semantic_errors():

@@ -212,6 +212,8 @@ def test_bad_specs():
         hi.generate(hi.InstanceSpec("random", n=9, r=3, m=4, seed=-1))
     with pytest.raises(BadSpec):
         hi.random_linear_triangle_free(hi.InstanceSpec("random", n=2, r=3, m=1))
+    with pytest.raises(BadSpec, match="vertex count"):
+        hi.random_linear_triangle_free(hi.InstanceSpec("random", n=-1, r=3, m=1))
 
 
 def test_candidate_space_beyond_64_bits_is_refused():
@@ -309,7 +311,11 @@ def test_family_constructor_errors():
     with pytest.raises(BadSpec):
         hi.loose_cycle(2, 3)
     with pytest.raises(BadSpec):
+        hi.loose_cycle(4, 1)
+    with pytest.raises(BadSpec):
         hi.matching(0, 3)
+    with pytest.raises(BadSpec):
+        hi.matching(2, 1)
 
 
 def test_generate_dispatch():
