@@ -1,17 +1,20 @@
 """Random instances are frozen, at the sizes the benchmark and CLI use.
 
-golden/instances.json holds two sha256 digests, recorded while the
-unranker still bisected and the generator still accepted edges through
-a whole pair index:
+golden/instances.json holds three sha256 digests.  The first two were
+recorded while the unranker still bisected and the generator still
+accepted edges through a whole pair index:
 
 * ``instances`` covers, for every spec in SPECS, the spec, the
   complete flag and format_hg of what ``generate`` returns;
 * ``gen_n3200_r4`` is the digest of the stdout of
   ``python -m hyperind gen --family random --n 3200 --r 4 --m 3200
   --seed 0``, which CI also compares with ``sha256sum`` against the
-  installed package.
+  installed package;
+* ``gen_n100000_r3`` is the same digest for ``--n 100000 --r 3
+  --m 100000 --seed 0``, the north-star size, checked in CI only
+  (about 2 s per process).
 
-Any change to the generator must leave both unchanged.
+Any change to the generator must leave all three unchanged.
 """
 
 from __future__ import annotations
