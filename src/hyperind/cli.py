@@ -32,6 +32,9 @@ _DEFAULT_EXACT_BUDGET = 10**6
 # about 12 bits per degree, so a table's time and memory grow
 # quadratically in d_max (10,000 takes about 5 s and 200 MB)
 _MAX_TABLE_DEGREE = 10_000
+# largest n exact search takes: it keeps an int up to n bits wide per edge
+# and per vertex, so memory grows quadratically (31 MB at n = m = 10,000)
+_MAX_EXACT_VERTICES = 10_000
 
 
 class _Fail(Exception):
@@ -40,13 +43,17 @@ class _Fail(Exception):
         self.code = code
 
 
-def _load(path: str):
+def _load(path: str, exact: bool = False):
     try:
-        return read_hg(path)
+        h = read_hg(path)
     except (HgFormatError, InvalidVertex, EmptyEdge) as exc:
         raise _Fail(2, f"cannot parse {path}: {exc}") from exc
     except OSError as exc:
         raise _Fail(2, f"cannot read {path}: {exc}") from exc
+    if exact and h.n > _MAX_EXACT_VERTICES:
+        cap = _MAX_EXACT_VERTICES
+        raise _Fail(2, f"exact search takes at most {cap} vertices, got {h.n}")
+    return h
 
 
 def _write(path: str, text: str) -> None:
@@ -97,7 +104,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def cmd_exact(args: argparse.Namespace) -> int:
     from .algorithms import exact_alpha
 
-    result = exact_alpha(_load(args.file), budget=args.budget)
+    result = exact_alpha(_load(args.file, exact=True), budget=args.budget)
     _emit(json.dumps(result._asdict()) + "\n", args.output)
     return 0 if result.exact else 1
 
@@ -124,7 +131,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .algorithms import exact_alpha, greedy_extract
     from .bounds import as_ratio, caro_tuza_total, chishti_bound
 
-    h = _load(args.file)
+    h = _load(args.file, exact=args.budget is not None)  # else exact only at n <= 60
     cert = greedy_extract(h, args.r)  # enforces the hypotheses
     pot = cert.guarantee
     ct = caro_tuza_total(h, args.r)

@@ -9,10 +9,12 @@ package changes a Hypergraph after construction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import EmptyEdge, EmptyHypergraph, HgFormatError, InvalidVertex
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "Hypergraph",
@@ -115,6 +117,7 @@ class Hypergraph:
         """
         if self.n == 0:
             raise EmptyHypergraph("average degree needs at least one vertex")
+        from fractions import Fraction  # here, so check and gen never load it
         return Fraction(sum(len(e) for e in self.edges), self.n)
 
     def degree_histogram(self) -> dict[int, int]:
@@ -142,6 +145,8 @@ class Hypergraph:
 #
 #   line 1:  n m
 #   then m lines, one edge each: whitespace-separated 0-based vertex ids
+#   every number is -?[0-9]+ in ASCII: a line that is ASCII and holds no
+#   '+' or '_' leaves int() nothing else to accept
 #   lines starting with '#' are comments and may appear anywhere;
 #   blank lines are ignored
 # ---------------------------------------------------------------------------
@@ -151,14 +156,16 @@ def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text into a Hypergraph.
 
     Raises HgFormatError for malformed text, including a declared vertex
-    count above 10^6, and InvalidVertex/EmptyEdge for ids outside the
-    declared range.
+    count above 10^6 and numbers such as '+2', '1_0' or non-ASCII digits,
+    and InvalidVertex/EmptyEdge for ids outside the declared range.
     """
     payload = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        if not line.isascii() or "+" in line or "_" in line:
+            raise HgFormatError(f"numbers must be -?[0-9]+ in ASCII, got {line!r}")
         payload.append(line)
     if not payload:
         raise HgFormatError("no header line")

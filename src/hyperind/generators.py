@@ -8,9 +8,9 @@ whole candidate stream; rejected candidates consume their draw.
 
 Unranking follows the combinatorial number system (Knuth, TAOCP 4A,
 7.2.1.3): each of the r elements is the root of a binomial C(y, k)
-against the remaining count, guessed in floating point and settled by
-exact math.comb comparisons, so a draw typically costs 2r - 1 calls to
-comb, O(r log n) at worst, rather than one per vertex.  A draw reduced
+against the remaining count, stepped to from a float guess that AM-GM
+bounds, so a draw typically costs 2r - 1 exact math.comb calls and an
+element at most 2 + floor(k/2), rather than one per vertex.  A draw reduced
 modulo C(n, r) reaches every rank only while C(n, r) <= 2^64, so larger
 candidate spaces are refused with BadSpec instead of silently sampling
 a prefix of them.  Below that limit the reduction is close to uniform
@@ -67,12 +67,16 @@ def _unrank_subset(index: int, n: int, r: int) -> tuple[int, ...]:
     So with t the number of subsets from the current rank to the end,
     at first t = C(n, r) - index, the next element is n - y for the
     smallest y with C(y, k) >= t, and t then drops by C(y-1, k), the
-    subsets passed over.  C(y, k) is close to (y - (k-1)/2)^k / k!, so
-    its root guesses y; two exact comb comparisons confirm the guess or
-    its neighbour, and a bisection takes over when both miss.  A draw
-    thus costs about 2r - 1 calls to comb, and O(r log n) at worst.
-    The last element needs none: C(y, 1) = y, so y = t.  Requires
-    1 <= r <= n and 0 <= index < C(n, r).
+    subsets passed over; the last element is n - t.  C(y, k) k!, a
+    product of k factors with mean y - (k-1)/2, lies between (y-k+1)^k
+    and (y - (k-1)/2)^k (AM-GM), so the answer is at least
+    g = ceil((t k!)^(1/k) + (k-1)/2) and at most floor(k/2) above it.
+    In floats g may land one step further either way (for t <= 2^64 the
+    root is off by under 1e-4).  Stepping from g, down while
+    C(y-1, k) >= t or up while C(y, k) < t, settles an element with at
+    most 2 + floor(k/2) comb calls, and with 2 when g is exact, as for
+    nearly every draw at large n.  Requires 1 <= r <= n and
+    0 <= index < C(n, r).
     """
     out = []
     t = comb(n, r) - index
@@ -82,36 +86,20 @@ def _unrank_subset(index: int, n: int, r: int) -> tuple[int, ...]:
         y = ceil(exp((log(t) + lgamma(k + 1)) / k) + (k - 1) / 2)
         y = k if y < k else hi if y > hi else y
         c = comb(y, k)
-        if c >= t:  # the answer is y, or below it
+        if c >= t:
             below = comb(y - 1, k)
-            if below >= t:
-                y, below = _bisect(t, k, k, y - 1, 0)
-        else:  # the answer is y + 1, or above it
-            below, c = c, comb(y + 1, k)
-            if c >= t:
-                y += 1
-            else:
-                y, below = _bisect(t, k, y + 2, hi, c)
+            while below >= t:
+                y -= 1
+                below = comb(y - 1, k)
+        else:
+            while c < t:
+                below, y = c, y + 1
+                c = comb(y, k)
         out.append(n - y)
         t -= below
         hi = y - 1
     out.append(n - t)
     return tuple(out)
-
-
-def _bisect(t: int, k: int, lo: int, hi: int, below: int) -> tuple[int, int]:
-    """Smallest y in [lo, hi] with C(y, k) >= t, and C(y-1, k).
-
-    Requires below = C(lo-1, k) < t <= C(hi, k).
-    """
-    while lo < hi:
-        y = (lo + hi) // 2
-        c = comb(y, k)
-        if c >= t:
-            hi = y
-        else:
-            lo, below = y + 1, c
-    return lo, below
 
 
 class InstanceSpec(NamedTuple):
@@ -125,13 +113,6 @@ class InstanceSpec(NamedTuple):
 
     def to_json(self) -> str:
         return json.dumps(self._asdict())
-
-    @staticmethod
-    def from_json(text: str) -> "InstanceSpec":
-        data = json.loads(text)
-        return InstanceSpec(
-            data["family"], data["n"], data["r"], data["m"], data.get("seed", 0)
-        )
 
 
 def _validate(spec: InstanceSpec) -> None:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hyperind as hi
-from hyperind.cli import main
+from hyperind.cli import _MAX_EXACT_VERTICES, main
 
 LOOSE_TEXT = "5 2\n0 1 2\n2 3 4\n"
 
@@ -67,6 +67,15 @@ def test_check_refuses_oversized_header(tmp_path, capsys):
     code, out, err = run(["check", str(huge)], capsys)
     assert (code, out) == (2, "")
     assert "vertex count 1000000000 exceeds the cap 1000000" in err
+
+
+@pytest.mark.parametrize("token", ["+2", "1_0", "\u0662"])
+def test_check_refuses_numbers_outside_the_format(tmp_path, capsys, token):
+    # int() would read each as a vertex id in range: 2, 10 and 2
+    path = tmp_path / "odd.hg"
+    path.write_text(f"11 1\n0 1 {token}\n", encoding="utf-8")
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out) == (2, "") and "cannot parse" in err
 
 
 def test_check_missing_file(capsys):
@@ -197,6 +206,25 @@ def test_exact_budget_flags_inexact(fano_file, capsys):
 def test_exact_negative_budget_is_usage_error(fano_file, capsys):
     code, out, err = run(["exact", fano_file, "--budget", "-1"], capsys)
     assert code == 2 and out == "" and "budget" in err
+
+
+def test_exact_and_compare_refuse_more_vertices_than_the_cap(tmp_path, capsys):
+    # exact search's masks are ints as wide as n, so an n = 10^5 file
+    # with --budget 1 would need gigabytes; header-only files bracket the cap
+    cap = _MAX_EXACT_VERTICES
+    at_cap, over = tmp_path / "cap.hg", tmp_path / "over.hg"
+    at_cap.write_text(f"{cap} 0\n")
+    over.write_text(f"{cap + 1} 0\n")
+    refusal = f"exact search takes at most {cap} vertices, got {cap + 1}"
+    compare = ["compare", str(over), "--r", "3", "--budget", "1"]
+    for argv in (["exact", str(over)], compare):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "") and refusal in err
+    code, out, _ = run(["exact", str(at_cap), "--budget", "0"], capsys)
+    assert code == 1 and json.loads(out)["exact"] is False
+    # without --budget, compare skips exact search above n = 60
+    code, out, _ = run(["compare", str(over), "--r", "3"], capsys)
+    assert code == 0 and out.endswith(" exact=n/a\n")
 
 
 # --- gen --------------------------------------------------------------------
@@ -382,11 +410,15 @@ def test_module_entry_point_matches_in_process(capsys):
 # argv after the subcommand ({in}: a loose-path .hg file, {out}: an output
 # path), and the hyperind modules that process must not load
 SUBCOMMAND_IMPORTS = {
-    "import-cli": ((), ("hyperind.generators",)),
-    "gen": (("gen", "--family", "loose_path", "--r", "3", "--m", "3", "-o", "{out}"), ()),
+    "import-cli": ((), ("hyperind.generators", "fractions", "decimal")),
+    "gen": (
+        ("gen", "--family", "loose_path", "--r", "3", "--m", "3", "-o", "{out}"),
+        ("fractions", "decimal"),
+    ),
     "check": (
         ("check", "{in}", "-o", "{out}"),
-        ("hyperind.bounds", "hyperind.algorithms", "hyperind.generators"),
+        ("hyperind.bounds", "hyperind.algorithms", "hyperind.generators",
+         "fractions", "decimal"),
     ),
     "extract": (
         ("extract", "{in}", "--r", "3", "-o", "{out}"),
@@ -407,13 +439,13 @@ SUBCOMMAND_IMPORTS = {
 }
 
 # runs main on argv (none: only imports the CLI), then prints the
-# hyperind, dataclasses and numpy entries of sys.modules
+# hyperind, dataclasses, numpy, fractions and decimal entries of sys.modules
 IMPORT_PROBE = """
 import sys
 import hyperind.cli
 code = hyperind.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
-print(*sorted(m for m in sys.modules
-              if m.partition(".")[0] in ("hyperind", "dataclasses", "numpy")))
+print(*sorted(m for m in sys.modules if m.partition(".")[0] in
+              ("hyperind", "dataclasses", "numpy", "fractions", "decimal")))
 sys.exit(code)
 """
 

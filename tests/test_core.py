@@ -159,6 +159,10 @@ def test_parse_hg_unsorted_input_canonicalizes():
         "5 1\n0 x 2\n",  # non-integer vertex
         "1000001 0\n",  # vertex count above the cap
         "1000000000 0\n",
+        "+5 1\n0 1 2\n",  # numbers int() reads but the format does not allow
+        "5 1\n0 +1 2\n",
+        "5 1\n0 1_0\n",
+        "5 1\n0 \u0662\n",  # ARABIC-INDIC DIGIT TWO
     ],
 )
 def test_parse_hg_malformed(text):
@@ -185,6 +189,68 @@ def test_hg_round_trip(h):
     assert hi.parse_hg(text) == h
     assert hi.format_hg(hi.parse_hg(text)) == text  # byte idempotence
     assert text.endswith("\n") and "\r" not in text
+
+
+@st.composite
+def reformatted_hg(draw):
+    """(h, text): format_hg(h) with the spacing, line ends and comments changed."""
+    h = draw(raw_hypergraphs())
+    lines = []
+    for line in hi.format_hg(h).splitlines():
+        noise = st.sampled_from(["", " \t", "#", "# 1 2", "\t# x"])
+        lines += draw(st.lists(noise, max_size=2))
+        sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
+        pad = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(pad + sep.join(line.split()) + pad)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return h, eol.join(lines) + draw(st.sampled_from(["", eol, eol + "# end"]))
+
+
+@settings(max_examples=150)
+@given(reformatted_hg())
+def test_parse_hg_reads_reformatted_text(case):
+    h, text = case
+    assert hi.parse_hg(text) == h
+
+
+# tokens int() reads although the format does not allow them
+INT_ONLY_TOKENS = ["+2", "1_0", "\u0662"]
+HOSTILE_TOKENS = INT_ONLY_TOKENS + [
+    "\u00b2", "0x1", "1e3", "2.0", "--1", "-", "-0", "-7", "9" * 30, "9" * 5000,
+    str(10**6), "",
+]
+# any text that keeps the line one line and not a comment
+TOKEN_TEXT = st.text(
+    st.characters(
+        blacklist_categories=("Cs",),
+        blacklist_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=300)
+@given(raw_hypergraphs(), st.data())
+def test_parse_hg_hostile_text_raises_only_parse_errors(h, data):
+    lines = hi.format_hg(h).splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[row].split()
+    token = data.draw(st.sampled_from(HOSTILE_TOKENS) | TOKEN_TEXT)
+    tokens[data.draw(st.integers(0, len(tokens) - 1))] = token
+    lines[row] = " ".join(tokens)
+    wrong_count = row > 0 and data.draw(st.booleans())
+    if wrong_count:  # m + 1, m + 7 or -1
+        n, m = map(int, lines[0].split())
+        lines[0] = f"{n} {m + data.draw(st.sampled_from([1, 7, -m - 1]))}"
+    text = "\n".join(lines) + "\n"
+    if wrong_count or token in INT_ONLY_TOKENS:
+        with pytest.raises(HgFormatError):
+            hi.parse_hg(text)
+    else:
+        try:
+            hi.parse_hg(text)
+        except (HgFormatError, InvalidVertex, EmptyEdge):
+            pass
 
 
 def test_read_write_files(tmp_path):
