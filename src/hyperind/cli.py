@@ -33,7 +33,7 @@ _DEFAULT_EXACT_BUDGET = 10**6
 # quadratically in d_max (10,000 takes about 5 s and 200 MB)
 _MAX_TABLE_DEGREE = 10_000
 # largest n exact search takes: it keeps an int up to n bits wide per edge
-# and per vertex, so memory grows quadratically (31 MB at n = m = 10,000)
+# and per vertex, so memory grows quadratically (+31 MB at n = m = 10,000)
 _MAX_EXACT_VERTICES = 10_000
 
 
