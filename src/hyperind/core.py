@@ -33,6 +33,12 @@ FAMILIES = ("random", "loose_path", "loose_cycle", "matching", "fano")
 # each, so the cap keeps a 13-byte header from asking for gigabytes
 _MAX_HG_VERTICES = 10**6
 
+# largest sum of k(k - 1) over the edge lines, k the ids on a line: it
+# bounds the neighbour entries every predicate builds, and one edge of k
+# vertices alone puts k(k - 1) into them, so the cap keeps a few
+# kilobytes of text from asking for gigabytes
+_MAX_HG_ENTRIES = 10**7
+
 
 class Hypergraph:
     """Immutable hypergraph: incidence built eagerly, neighbourhoods on first use.
@@ -144,9 +150,12 @@ class Hypergraph:
 # .hg text format
 #
 #   line 1:  n m
-#   then m lines, one edge each: whitespace-separated 0-based vertex ids
+#   then m lines, one edge each: 0-based vertex ids separated by spaces
+#   or tabs
 #   every number is -?[0-9]+ in ASCII: a line that is ASCII and holds no
 #   '+' or '_' leaves int() nothing else to accept
+#   lines end in '\n', optionally after one '\r'; any other control or
+#   line-break character outside a comment is an error
 #   lines starting with '#' are comments and may appear anywhere;
 #   blank lines are ignored
 # ---------------------------------------------------------------------------
@@ -156,16 +165,20 @@ def parse_hg(text: str) -> Hypergraph:
     """Parse .hg text into a Hypergraph.
 
     Raises HgFormatError for malformed text, including a declared vertex
-    count above 10^6 and numbers such as '+2', '1_0' or non-ASCII digits,
-    and InvalidVertex/EmptyEdge for ids outside the declared range.
+    count above 10^6, edges whose sizes k sum k(k - 1) above 10^7, numbers
+    such as '+2', '1_0' or non-ASCII digits and control characters other
+    than a tab or a CR before the line end, and InvalidVertex/EmptyEdge
+    for ids outside the declared range.
     """
     payload = []
-    for raw in text.splitlines():
-        line = raw.strip()
+    for raw in text.split("\n"):
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
         if not line.isascii() or "+" in line or "_" in line:
             raise HgFormatError(f"numbers must be -?[0-9]+ in ASCII, got {line!r}")
+        if not line.replace("\t", " ").isprintable():
+            raise HgFormatError(f"control character in {line!r}")
         payload.append(line)
     if not payload:
         raise HgFormatError("no header line")
@@ -184,11 +197,18 @@ def parse_hg(text: str) -> Hypergraph:
     if len(body) != m:
         raise HgFormatError(f"expected {m} edge lines, found {len(body)}")
     edges = []
+    entries = 0
     for line in body:
         try:
-            edges.append([int(tok) for tok in line.split()])
+            edge = [int(tok) for tok in line.split()]
         except ValueError as exc:
             raise HgFormatError(f"non-integer vertex id in {line!r}") from exc
+        entries += len(edge) * (len(edge) - 1)
+        edges.append(edge)
+    if entries > _MAX_HG_ENTRIES:
+        raise HgFormatError(
+            f"edges imply {entries} neighbour entries, above the cap {_MAX_HG_ENTRIES}"
+        )
     return Hypergraph(n, edges)
 
 

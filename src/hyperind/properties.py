@@ -9,7 +9,7 @@ with a stable JSON form.
 from __future__ import annotations
 
 import json
-from itertools import combinations, product
+from itertools import chain, combinations
 from typing import NamedTuple, Optional, Union
 
 from .core import Hypergraph
@@ -91,20 +91,26 @@ def is_triangle_free(
     {u1, u2, u3}; then, as e1 != e2, one of them, say e1, misses some x
     of the other, and x is a common neighbor of u1 and u2 outside e1.
     So h is triangle-free when no pair of an edge e has more than
-    |e| - 2 common neighbors; otherwise the ordered search runs.
+    |e| - 2 common neighbors, and pairs with a vertex on one edge only
+    (whose neighbors all lie in it) are skipped.  Otherwise the ordered
+    search runs; it reads the edges through {a, b} only for distinct
+    edges through {b, c} and {a, c}.
 
     Returns (True, None) or (False, witness) with witness keys
     "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes,
     the first by vertices ascending, then by edge indexes ascending.
     """
-    nbrs = h._neighbor_sets()
-    if not any(
-        len(nbrs[a] & nbrs[b]) > len(e) - 2
-        for e in h.edges
-        for a, b in combinations(e, 2)
-    ):
-        return True, None
-    incident = [set(h.incident_edges(v)) for v in range(h.n)]
+    nbrs, inc = h._neighbor_sets(), h._incident
+    for e in h.edges:
+        k = len(e) - 2
+        for a, b in combinations(e, 2):
+            if len(inc[a]) > 1 and len(inc[b]) > 1 and len(nbrs[a] & nbrs[b]) > k:
+                return _ordered_triangle_search(h, nbrs)
+    return True, None
+
+
+def _ordered_triangle_search(h: Hypergraph, nbrs: tuple[frozenset[int], ...]):
+    incident = [set(ix) for ix in h._incident]
 
     def through(x: int, y: int) -> list[int]:
         return sorted(incident[x] & incident[y])
@@ -113,9 +119,11 @@ def is_triangle_free(
     for a, b in covered:
         # triple {a,b,c} is handled at its two smallest vertices
         for c in sorted(w for w in nbrs[a] & nbrs[b] if w > b):
-            for i1, i2, i3 in product(through(b, c), through(a, c), through(a, b)):
-                if i1 != i2 and i3 != i1 and i3 != i2:
-                    return False, {"vertices": (a, b, c), "edges": (i1, i2, i3)}
+            for i1 in through(b, c):
+                for i2 in through(a, c):
+                    for i3 in through(a, b) if i2 != i1 else ():
+                        if i3 != i1 and i3 != i2:
+                            return False, {"vertices": (a, b, c), "edges": (i1, i2, i3)}
     return True, None
 
 
@@ -126,25 +134,17 @@ def is_double_linear(
 
     Requires h linear (raises NotLinear otherwise).  Fails when some
     edge through a vertex u contains two or more neighbors of a vertex v
-    that is distinct from and non-adjacent to u.
+    that is distinct from and non-adjacent to u.  Such v lie outside the
+    edge, in N(a) & N(b) for a pair a, b of it, taken one pair at a time.
 
     Returns (True, None) or (False, (u, v, i)) with i the edge index.
     """
-    ok, _ = is_linear(h)
-    if not ok:
+    if not is_linear(h)[0]:
         raise NotLinear("double linearity is only defined for linear input")
-    return _double_linear_scan(h)
-
-
-def _double_linear_scan(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int, int]]]:
-    """is_double_linear on h already known to be linear.
-
-    The vertices outside an edge e that see two or more of its vertices
-    are the union of N(a) & N(b) over the pairs a, b of e, minus e.
-    """
     nbrs = h._neighbor_sets()
     for i, e in enumerate(h.edges):
-        twice = set().union(*(nbrs[a] & nbrs[b] for a, b in combinations(e, 2)))
+        pairs = combinations(e, 2)
+        twice = set(chain.from_iterable(nbrs[a] & nbrs[b] for a, b in pairs))
         for v in sorted(twice.difference(e)):
             for u in e:
                 if u not in nbrs[v]:
@@ -158,15 +158,15 @@ def neighborhood_max_degree(h: Hypergraph) -> int:
     The subhypergraph induced by N(u) keeps exactly the edges fully
     contained in N(u); the degree of z there counts those edges through
     z.  An edge e lies inside N(u) exactly for the u in the intersection
-    of N(v) over v in e.  Returns 0 when no edge fits inside any
-    neighborhood.  That always holds on linear triangle-free input with
-    no one-vertex edge, as an edge inside N(u) closes a triangle through
-    u; double linearity holds there too (acceptance criterion 8).
+    of N(v) over v in e, smallest first.  Returns 0 when no edge fits in
+    any neighborhood.  That always holds on linear triangle-free input
+    with no one-vertex edge, as an edge inside N(u) closes a triangle
+    through u; double linearity holds there too (acceptance criterion 8).
     """
     nbrs = h._neighbor_sets()
     count: dict[tuple[int, int], int] = {}
     for e in h.edges:
-        for u in nbrs[e[0]].intersection(*(nbrs[v] for v in e[1:])):
+        for u in frozenset.intersection(*sorted((nbrs[v] for v in e), key=len)):
             for z in e:
                 count[u, z] = count.get((u, z), 0) + 1
     return max(count.values(), default=0)
@@ -222,7 +222,7 @@ def property_report(h: Hypergraph) -> PropertyReport:
     if linear and tri_free:
         double = True
     elif linear:
-        double, dl_wit = _double_linear_scan(h)
+        double, dl_wit = is_double_linear(h)
         if dl_wit is not None:
             u, v, i = dl_wit
             witness["double_linear"] = {"u": u, "v": v, "edge": i}

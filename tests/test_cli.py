@@ -69,6 +69,23 @@ def test_check_refuses_oversized_header(tmp_path, capsys):
     assert "vertex count 1000000000 exceeds the cap 1000000" in err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        # one edge of 3163 vertices: 3163 * 3162 neighbour entries
+        ("3163 1\n" + " ".join(map(str, range(3163))) + "\n", "above the cap 10000000"),
+        # a form feed is no line end, so this is one edge line of two declared
+        ("3 2\n0 1\x0c2\n", "control character"),
+    ],
+    ids=["edge-over-entry-cap", "form-feed"],
+)
+def test_check_refuses_big_edges_and_control_characters(tmp_path, capsys, text, message):
+    path = tmp_path / "hostile.hg"
+    path.write_bytes(text.encode())
+    code, out, err = run(["check", str(path)], capsys)
+    assert (code, out) == (2, "") and message in err
+
+
 @pytest.mark.parametrize("token", ["+2", "1_0", "\u0662"])
 def test_check_refuses_numbers_outside_the_format(tmp_path, capsys, token):
     # int() would read each as a vertex id in range: 2, 10 and 2

@@ -139,6 +139,9 @@ def test_format_hg_exact_bytes():
 def test_parse_hg_comments_and_blanks():
     text = "# instance\n\n5 2\n0 1 2\n\n# middle\n2 3 4\n# trailing\n"
     assert hi.parse_hg(text) == LOOSE
+    # a comment runs to the next '\n', whatever it holds
+    text = "5 2\r\n\t# \x0c\x0b\r\x85\u2028 9 9\n0 1 2\n 2\t3 4 \r\n"
+    assert hi.parse_hg(text) == LOOSE
 
 
 def test_parse_hg_unsorted_input_canonicalizes():
@@ -163,6 +166,21 @@ def test_parse_hg_unsorted_input_canonicalizes():
         "5 1\n0 +1 2\n",
         "5 1\n0 1_0\n",
         "5 1\n0 \u0662\n",  # ARABIC-INDIC DIGIT TWO
+        # line ends are '\n' or '\r\n' only: str.splitlines would also
+        # break at each of these and read "0 1" and "2" as two edges
+        "3 2\n0 1\x0c2\n",
+        "3 2\n0 1\x0b2\n",
+        "3 2\n0 1\x1c2\n",
+        "3 2\n0 1\x1d2\n",
+        "3 2\n0 1\x1e2\n",
+        "3 2\n0 1\r2\n",
+        "3 2\n0 1\x852\n",  # NEL
+        "3 2\n0 1\u20282\n",  # LINE SEPARATOR
+        "3 1\n0 1 2\r\r\n",  # a CR before the CRLF
+        "3 1\n\x0c0 1 2\n",  # only spaces and tabs are stripped
+        # 3163 * 3162 neighbour entries, above the cap of 10^7
+        pytest.param("3163 1\n" + " ".join(map(str, range(3163))) + "\n",
+                     id="edge-over-entry-cap"),
     ],
 )
 def test_parse_hg_malformed(text):
@@ -173,6 +191,9 @@ def test_parse_hg_malformed(text):
 def test_parse_hg_admits_large_vertex_counts():
     h = hi.parse_hg("100000 1\n0 99999\n")
     assert (h.n, h.m, h.degree(99999)) == (100000, 1, 1)
+    # 3162 * 3161 neighbour entries, just under the cap
+    h = hi.parse_hg("3162 1\n" + " ".join(map(str, range(3162))) + "\n")
+    assert (h.n, h.m) == (3162, 1)
 
 
 def test_parse_hg_semantic_errors():
@@ -221,10 +242,7 @@ HOSTILE_TOKENS = INT_ONLY_TOKENS + [
 ]
 # any text that keeps the line one line and not a comment
 TOKEN_TEXT = st.text(
-    st.characters(
-        blacklist_categories=("Cs",),
-        blacklist_characters="#\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029",
-    ),
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="#\n"),
     max_size=6,
 )
 

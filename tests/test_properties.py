@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hyperind as hi
 from hyperind.errors import NotLinear
@@ -20,6 +21,13 @@ from oracles import (
 from strategies import raw_hypergraphs
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
+# shapes on which a predicate can cost the square or cube of their size
+BIG_EDGE = hi.Hypergraph(9, [range(9)])
+SHARED_PAIR = hi.Hypergraph(10, [(0, 1, i) for i in range(2, 10)])
+BOOK = hi.Hypergraph(11, [(0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1, 8, 9, 10)])
+BOOK_CHORD = hi.Hypergraph(11, list(BOOK.edges) + [(2, 5)])  # triangle (0, 2, 5)
+# linear: a big edge holding two neighbours of 5, and the triangle (0, 1, 5)
+BIG_EDGE_FAN = hi.Hypergraph(6, [range(5), (0, 5), (1, 5)])
 
 
 def relabel(h: hi.Hypergraph, perm: list[int]) -> hi.Hypergraph:
@@ -119,6 +127,11 @@ def test_is_triangle_free_matches_brute(h):
 
 @settings(max_examples=200)
 @given(raw_hypergraphs())
+@example(BIG_EDGE)
+@example(SHARED_PAIR)
+@example(BOOK)
+@example(BOOK_CHORD)
+@example(BIG_EDGE_FAN)
 def test_is_triangle_free_witness_matches_oracle(h):
     wit = first_triangle(h)
     assert hi.is_triangle_free(h) == (wit is None, wit)
@@ -163,14 +176,26 @@ def test_is_double_linear():
 
 @settings(max_examples=200)
 @given(raw_hypergraphs())
+@example(BIG_EDGE)
+@example(BIG_EDGE_FAN)
 def test_is_double_linear_witness_matches_oracle(h):
-    # the scan behind is_double_linear runs on any input; the public
-    # predicate only on linear input
+    assume(hi.is_linear(h)[0])
     wit = first_double_linear_failure(h)
-    expected = (wit is None, wit)
-    assert hi.properties._double_linear_scan(h) == expected
-    if hi.is_linear(h)[0]:
-        assert hi.is_double_linear(h) == expected
+    assert hi.is_double_linear(h) == (wit is None, wit)
+
+
+def test_is_double_linear_holds_one_pair_at_a_time():
+    # a 200-vertex edge has 19,900 pairs whose common neighbourhoods hold
+    # 198 vertices each; held at once they take about 160 MB
+    h = hi.Hypergraph(203, [range(200), (200, 201), (201, 202), (200, 202)])
+    h.neighborhood(0)  # build the neighbour sets outside the traced part
+    tracemalloc.start()
+    try:
+        assert hi.is_double_linear(h) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_neighborhood_max_degree():
@@ -184,6 +209,11 @@ def test_neighborhood_max_degree():
 
 @settings(max_examples=200)
 @given(raw_hypergraphs(max_n=9, max_m=12))
+@example(BIG_EDGE)
+@example(SHARED_PAIR)
+@example(BOOK)
+@example(BOOK_CHORD)
+@example(BIG_EDGE_FAN)
 def test_neighborhood_max_degree_matches_oracle(h):
     # mixed sizes and overlapping edges, so non-linear input too
     assert hi.neighborhood_max_degree(h) == brute_nbhd_max_degree(h)
