@@ -10,7 +10,10 @@ leave them unchanged.  A deliberate change to the certificate
 format has to re-record them and say so.  cli_extract_n3200_r3 is the
 sha256 of the stdout of `hyperind extract big.hg --r 3` on the file of
 `hyperind gen --family random --n 3200 --r 3 --m 3200 --seed 0`, which
-CI checks without the test extras.
+CI checks without the test extras.  cli_extract_n10000_r3 is the same
+digest for `--n 10000 --m 10000`; the quadratic greedy takes about 50 s
+there (2-vCPU Xeon), so CI checks it under a timeout and no test here
+runs it.
 """
 
 from __future__ import annotations
