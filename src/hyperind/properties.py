@@ -9,8 +9,9 @@ with a stable JSON form.
 from __future__ import annotations
 
 import json
-from itertools import chain, combinations
-from typing import NamedTuple, Optional, Union
+from collections import Counter
+from itertools import combinations
+from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import Hypergraph
 from .errors import NotLinear
@@ -62,8 +63,7 @@ def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
     least two vertices: j is the first edge that repeats a pair, i the
     edge it repeats at its smallest such pair.
     """
-    covered = sum(map(len, h._neighbor_sets()))
-    if covered == sum(len(e) * (len(e) - 1) for e in h.edges):
+    if _pairs_counted_once(h):
         return True, None
     inc = h._incident
     for j, e in enumerate(h.edges):
@@ -72,6 +72,32 @@ def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
             if i < j:
                 return False, (i, j)
     raise AssertionError("pair counts differ but no pair repeats")
+
+
+def _pairs_counted_once(h: Hypergraph) -> bool:
+    covered = sum(map(len, h._neighbor_sets()))
+    return covered == sum(len(e) * (len(e) - 1) for e in h.edges)
+
+
+def _apexes(h: Hypergraph) -> Iterator[tuple[int, set[int]]]:
+    """Yield (i, its apexes) by ascending i for each edge i that has one.
+
+    An apex of e lies outside e and sees two or more of its vertices.  As
+    N(a) holds e - {a}, e has none exactly when the N(a) but the largest,
+    N(t), cover t and |N(a)| - |e| + 1 more vertices each outside N(t).
+    N(t) is only intersected, so a hub's leaves never walk its own.
+    """
+    nbrs = h._neighbor_sets()
+    for i, e in enumerate(h.edges):
+        rest = sorted([nbrs[a] for a in e], key=len)
+        top = rest.pop()
+        seen = set().union(*rest)
+        if len(seen) - len(seen & top) + len(rest) ** 2 != 1 + sum(map(len, rest)) and rest:
+            twice, seen = seen & top, set()
+            for near in rest:
+                twice |= seen & near
+                seen |= near
+            yield i, twice.difference(e)
 
 
 def is_triangle_free(
@@ -84,41 +110,41 @@ def is_triangle_free(
     non-linear input too: a pair may then lie in several edges and all
     choices of distinct representatives are tried.
 
-    A screen runs first.  For a, b in an edge e, N(a) & N(b) holds
-    e - {a, b}, and a triangle always leaves some pair a common neighbor
-    outside its edge.  Either u3, a common neighbor of u1 and u2, lies
-    outside e3 (likewise for e1 and e2), or all three edges contain
-    {u1, u2, u3}; then, as e1 != e2, one of them, say e1, misses some x
-    of the other, and x is a common neighbor of u1 and u2 outside e1.
-    So h is triangle-free when no pair of an edge e has more than
-    |e| - 2 common neighbors, and pairs with a vertex on one edge only
-    (whose neighbors all lie in it) are skipped.  Otherwise the ordered
-    search runs; it reads the edges through {a, b} only for distinct
-    edges through {b, c} and {a, c}.
+    A screen runs first: h is triangle-free when no edge has an apex in
+    _apexes.  A triangle gives one: either u3, seen by u1 and u2, lies
+    outside e3 (likewise for e1 and e2), or all three edges hold
+    {u1, u2, u3} and e1 (say) misses some x of e2 that u1 and u2 see.
+    On linear input an apex a of g seeing b < c in g closes a triangle
+    with the edges through {a, c} and {a, b}; the smallest apex, with
+    its smallest such pair, is the witness.  Otherwise the ordered
+    search runs on the vertices on two or more edges.
 
     Returns (True, None) or (False, witness) with witness keys
     "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes,
     the first by vertices ascending, then by edge indexes ascending.
     """
-    nbrs, inc = h._neighbor_sets(), h._incident
-    for e in h.edges:
-        k = len(e) - 2
-        for a, b in combinations(e, 2):
-            if len(inc[a]) > 1 and len(inc[b]) > 1 and len(nbrs[a] & nbrs[b]) > k:
-                return _ordered_triangle_search(h, nbrs)
-    return True, None
+    if next(_apexes(h), None) is None:
+        return True, None
+    nbrs, inc, edges = h._neighbor_sets(), h._incident, h.edges
+    if not _pairs_counted_once(h):
+        return _ordered_triangle_search(h, nbrs)
+    firsts = ((min(apexes), g) for g, apexes in _apexes(h))
+    a, b, c, g = min((a, *sorted(nbrs[a].intersection(edges[g]))[:2], g) for a, g in firsts)
+    ac, ab = (min(set(inc[a]).intersection(inc[x])) for x in (c, b))
+    return False, {"vertices": (a, b, c), "edges": (g, ac, ab)}
 
 
 def _ordered_triangle_search(h: Hypergraph, nbrs: tuple[frozenset[int], ...]):
     incident = [set(ix) for ix in h._incident]
+    ends = {v for v, ix in enumerate(incident) if len(ix) > 1}  # others are in no triangle
 
     def through(x: int, y: int) -> list[int]:
         return sorted(incident[x] & incident[y])
 
-    covered = ((a, b) for a in range(h.n) for b in sorted(nbrs[a]) if b > a)
+    covered = ((a, b) for a in sorted(ends) for b in sorted(nbrs[a] & ends) if b > a)
     for a, b in covered:
         # triple {a,b,c} is handled at its two smallest vertices
-        for c in sorted(w for w in nbrs[a] & nbrs[b] if w > b):
+        for c in sorted(w for w in nbrs[a] & nbrs[b] & ends if w > b):
             for i1 in through(b, c):
                 for i2 in through(a, c):
                     for i3 in through(a, b) if i2 != i1 else ():
@@ -134,42 +160,39 @@ def is_double_linear(
 
     Requires h linear (raises NotLinear otherwise).  Fails when some
     edge through a vertex u contains two or more neighbors of a vertex v
-    that is distinct from and non-adjacent to u.  Such v lie outside the
-    edge, in N(a) & N(b) for a pair a, b of it, taken one pair at a time.
+    that is distinct from and non-adjacent to u: v is an apex of the
+    edge in _apexes whose neighbourhood misses some of it, such as u.
 
-    Returns (True, None) or (False, (u, v, i)) with i the edge index.
+    Returns (True, None) or (False, (u, v, i)) with i the edge index:
+    the smallest i, then the smallest v, then the first such u.
     """
-    if not is_linear(h)[0]:
+    if not _pairs_counted_once(h):
         raise NotLinear("double linearity is only defined for linear input")
-    nbrs = h._neighbor_sets()
-    for i, e in enumerate(h.edges):
-        pairs = combinations(e, 2)
-        twice = set(chain.from_iterable(nbrs[a] & nbrs[b] for a, b in pairs))
-        for v in sorted(twice.difference(e)):
-            for u in e:
-                if u not in nbrs[v]:
-                    return False, (u, v, i)
+    nbrs, edges = h._neighbor_sets(), h.edges
+    for i, apexes in _apexes(h):
+        bad = [v for v in apexes if not nbrs[v].issuperset(edges[i])]
+        if bad:
+            v = min(bad)
+            return False, (next(u for u in edges[i] if u not in nbrs[v]), v, i)
     return True, None
 
 
 def neighborhood_max_degree(h: Hypergraph) -> int:
     """Largest degree in any subhypergraph induced by a vertex neighborhood.
 
-    The subhypergraph induced by N(u) keeps exactly the edges fully
-    contained in N(u); the degree of z there counts those edges through
-    z.  An edge e lies inside N(u) exactly for the u in the intersection
-    of N(v) over v in e, smallest first.  Returns 0 when no edge fits in
-    any neighborhood.  That always holds on linear triangle-free input
-    with no one-vertex edge, as an edge inside N(u) closes a triangle
-    through u; double linearity holds there too (acceptance criterion 8).
+    Each z counts, over its edges e, the v whose N(v) holds e, as the
+    edges inside N(v) are those of the subhypergraph it induces.  It is 0
+    when no edge fits in any neighborhood, as on linear triangle-free
+    input with no one-vertex edge: an edge inside N(v) closes a triangle
+    through v; double linearity holds there too (acceptance criterion 8).
     """
-    nbrs = h._neighbor_sets()
-    count: dict[tuple[int, int], int] = {}
-    for e in h.edges:
-        for u in frozenset.intersection(*sorted((nbrs[v] for v in e), key=len)):
-            for z in e:
-                count[u, z] = count.get((u, z), 0) + 1
-    return max(count.values(), default=0)
+    nbrs, edges, best = h._neighbor_sets(), h.edges, 0
+    for ix in h._incident:
+        degree = Counter()
+        for e in map(edges.__getitem__, ix):
+            degree.update(frozenset.intersection(*sorted((nbrs[a] for a in e), key=len)))
+        best = max([best, *degree.values()])
+    return best
 
 
 class PropertyReport(NamedTuple):
@@ -215,19 +238,10 @@ def property_report(h: Hypergraph) -> PropertyReport:
         }
     tri_free, tri_wit = is_triangle_free(h)
     if tri_wit is not None:
-        witness["triangle"] = {
-            "vertices": list(tri_wit["vertices"]),
-            "edges": list(tri_wit["edges"]),
-        }
-    if linear and tri_free:
-        double = True
-    elif linear:
-        double, dl_wit = is_double_linear(h)
-        if dl_wit is not None:
-            u, v, i = dl_wit
-            witness["double_linear"] = {"u": u, "v": v, "edge": i}
-    else:
-        double = False
+        witness["triangle"] = {key: list(ix) for key, ix in tri_wit.items()}
+    double, dl_wit = is_double_linear(h) if linear and not tri_free else (linear, None)
+    if dl_wit is not None:
+        witness["double_linear"] = dict(zip(("u", "v", "edge"), dl_wit))
     nbhd_zero = linear and tri_free and all(len(e) > 1 for e in h.edges)
     return PropertyReport(
         uniform_r=uniform_r,

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from itertools import combinations
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -28,6 +29,11 @@ BOOK = hi.Hypergraph(11, [(0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1, 8, 9, 10)])
 BOOK_CHORD = hi.Hypergraph(11, list(BOOK.edges) + [(2, 5)])  # triangle (0, 2, 5)
 # linear: a big edge holding two neighbours of 5, and the triangle (0, 1, 5)
 BIG_EDGE_FAN = hi.Hypergraph(6, [range(5), (0, 5), (1, 5)])
+# linear: a big edge before a 2-uniform triangle at higher ids
+EDGE_THEN_TRIANGLE = hi.Hypergraph(12, [range(9), (9, 10), (10, 11), (9, 11)])
+# linear, triangle-free: a big edge with a pendant edge at each vertex
+EDGE_PENDANTS = hi.Hypergraph(18, [range(9)] + [(v, 9 + v) for v in range(9)])
+K6 = hi.Hypergraph(6, combinations(range(6), 2))
 
 
 def relabel(h: hi.Hypergraph, perm: list[int]) -> hi.Hypergraph:
@@ -132,7 +138,19 @@ def test_is_triangle_free_matches_brute(h):
 @example(BOOK)
 @example(BOOK_CHORD)
 @example(BIG_EDGE_FAN)
+@example(EDGE_THEN_TRIANGLE)
+@example(EDGE_PENDANTS)
+@example(K6)
 def test_is_triangle_free_witness_matches_oracle(h):
+    wit = first_triangle(h)
+    assert hi.is_triangle_free(h) == (wit is None, wit)
+
+
+@settings(max_examples=200)
+@given(raw_hypergraphs())
+def test_is_triangle_free_linear_witness_matches_oracle(h):
+    # on linear input a firing screen hands over to the smallest apex
+    assume(hi.is_linear(h)[0])
     wit = first_triangle(h)
     assert hi.is_triangle_free(h) == (wit is None, wit)
 
@@ -178,6 +196,9 @@ def test_is_double_linear():
 @given(raw_hypergraphs())
 @example(BIG_EDGE)
 @example(BIG_EDGE_FAN)
+@example(EDGE_THEN_TRIANGLE)
+@example(EDGE_PENDANTS)
+@example(K6)
 def test_is_double_linear_witness_matches_oracle(h):
     assume(hi.is_linear(h)[0])
     wit = first_double_linear_failure(h)
@@ -185,8 +206,9 @@ def test_is_double_linear_witness_matches_oracle(h):
 
 
 def test_is_double_linear_holds_one_pair_at_a_time():
-    # a 200-vertex edge has 19,900 pairs whose common neighbourhoods hold
-    # 198 vertices each; held at once they take about 160 MB
+    # the apex scan holds one edge's sets at a time; the 19,900 pairs of
+    # the 200-vertex edge, whose common neighbourhoods hold 198 vertices
+    # each, would take about 160 MB held at once
     h = hi.Hypergraph(203, [range(200), (200, 201), (201, 202), (200, 202)])
     h.neighborhood(0)  # build the neighbour sets outside the traced part
     tracemalloc.start()
@@ -214,6 +236,9 @@ def test_neighborhood_max_degree():
 @example(BOOK)
 @example(BOOK_CHORD)
 @example(BIG_EDGE_FAN)
+@example(EDGE_THEN_TRIANGLE)
+@example(EDGE_PENDANTS)
+@example(K6)
 def test_neighborhood_max_degree_matches_oracle(h):
     # mixed sizes and overlapping edges, so non-linear input too
     assert hi.neighborhood_max_degree(h) == brute_nbhd_max_degree(h)
