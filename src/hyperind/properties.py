@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Optional, Union
 
 from .core import Hypergraph
@@ -75,8 +75,7 @@ def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
 
 
 def _pairs_counted_once(h: Hypergraph) -> bool:
-    covered = sum(map(len, h._neighbor_sets()))
-    return covered == sum(len(e) * (len(e) - 1) for e in h.edges)
+    return sum(map(len, h._neighbor_sets())) == sum(len(e) * (len(e) - 1) for e in h.edges)
 
 
 def _apexes(h: Hypergraph) -> Iterator[tuple[int, set[int]]]:
@@ -89,11 +88,11 @@ def _apexes(h: Hypergraph) -> Iterator[tuple[int, set[int]]]:
     """
     nbrs = h._neighbor_sets()
     for i, e in enumerate(h.edges):
-        rest = sorted([nbrs[a] for a in e], key=len)
-        top = rest.pop()
-        seen = set().union(*rest)
-        if len(seen) - len(seen & top) + len(rest) ** 2 != 1 + sum(map(len, rest)) and rest:
-            twice, seen = seen & top, set()
+        *rest, top = sorted([nbrs[a] for a in e], key=len)
+        seen = set().union(*rest)  # empty, at no cost, for a one-vertex edge
+        twice = seen & top
+        if rest and len(seen) - len(twice) + len(rest) ** 2 != 1 + sum(map(len, rest)):
+            seen = set()
             for near in rest:
                 twice |= seen & near
                 seen |= near
@@ -114,21 +113,21 @@ def is_triangle_free(
     _apexes.  A triangle gives one: either u3, seen by u1 and u2, lies
     outside e3 (likewise for e1 and e2), or all three edges hold
     {u1, u2, u3} and e1 (say) misses some x of e2 that u1 and u2 see.
-    On linear input an apex a of g seeing b < c in g closes a triangle
-    with the edges through {a, c} and {a, b}; the smallest apex, with
-    its smallest such pair, is the witness.  Otherwise the ordered
-    search runs on the vertices on two or more edges.
+    On linear input the witness is the smallest apex a, of an edge g,
+    with the two smallest b < c of g it sees; else the ordered search runs.
 
     Returns (True, None) or (False, witness) with witness keys
     "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes,
     the first by vertices ascending, then by edge indexes ascending.
     """
-    if next(_apexes(h), None) is None:
+    found = _apexes(h)
+    first = next(found, None)
+    if first is None:
         return True, None
     nbrs, inc, edges = h._neighbor_sets(), h._incident, h.edges
     if not _pairs_counted_once(h):
         return _ordered_triangle_search(h, nbrs)
-    firsts = ((min(apexes), g) for g, apexes in _apexes(h))
+    firsts = ((min(apexes), g) for g, apexes in chain([first], found))
     a, b, c, g = min((a, *sorted(nbrs[a].intersection(edges[g]))[:2], g) for a, g in firsts)
     ac, ab = (min(set(inc[a]).intersection(inc[x])) for x in (c, b))
     return False, {"vertices": (a, b, c), "edges": (g, ac, ab)}
@@ -170,9 +169,8 @@ def is_double_linear(
         raise NotLinear("double linearity is only defined for linear input")
     nbrs, edges = h._neighbor_sets(), h.edges
     for i, apexes in _apexes(h):
-        bad = [v for v in apexes if not nbrs[v].issuperset(edges[i])]
-        if bad:
-            v = min(bad)
+        v = min((v for v in apexes if not nbrs[v].issuperset(edges[i])), default=None)
+        if v is not None:
             return False, (next(u for u in edges[i] if u not in nbrs[v]), v, i)
     return True, None
 
@@ -181,18 +179,19 @@ def neighborhood_max_degree(h: Hypergraph) -> int:
     """Largest degree in any subhypergraph induced by a vertex neighborhood.
 
     Each z counts, over its edges e, the v whose N(v) holds e, as the
-    edges inside N(v) are those of the subhypergraph it induces.  It is 0
-    when no edge fits in any neighborhood, as on linear triangle-free
-    input with no one-vertex edge: an edge inside N(v) closes a triangle
-    through v; double linearity holds there too (acceptance criterion 8).
+    edges inside N(v) are those of the subhypergraph it induces.  Those
+    v are the intersection of N(a) over a in e, taken once per edge from
+    the smallest N(a).  It is 0 when no edge fits in any neighborhood, as
+    on linear triangle-free input with no one-vertex edge: an edge inside
+    N(v) closes a triangle through v; double linearity holds there too
+    (acceptance criterion 8).
     """
-    nbrs, edges, best = h._neighbor_sets(), h.edges, 0
-    for ix in h._incident:
-        degree = Counter()
-        for e in map(edges.__getitem__, ix):
-            degree.update(frozenset.intersection(*sorted((nbrs[a] for a in e), key=len)))
-        best = max([best, *degree.values()])
-    return best
+    nbrs, degree = h._neighbor_sets(), {}
+    for e in h.edges:
+        inside = frozenset.intersection(*sorted((nbrs[a] for a in e), key=len))
+        for z in e if inside else ():
+            degree.setdefault(z, Counter()).update(inside)
+    return max((max(count.values()) for count in degree.values()), default=0)
 
 
 class PropertyReport(NamedTuple):

@@ -34,6 +34,8 @@ EDGE_THEN_TRIANGLE = hi.Hypergraph(12, [range(9), (9, 10), (10, 11), (9, 11)])
 # linear, triangle-free: a big edge with a pendant edge at each vertex
 EDGE_PENDANTS = hi.Hypergraph(18, [range(9)] + [(v, 9 + v) for v in range(9)])
 K6 = hi.Hypergraph(6, combinations(range(6), 2))
+# linear: the edge opposite the triangle's smallest vertex, 1, is the first with an apex
+OPPOSITE_FIRST = hi.Hypergraph(7, [(0, 2, 3), (1, 2, 5), (1, 3, 6)])
 
 
 def relabel(h: hi.Hypergraph, perm: list[int]) -> hi.Hypergraph:
@@ -148,6 +150,7 @@ def test_is_triangle_free_witness_matches_oracle(h):
 
 @settings(max_examples=200)
 @given(raw_hypergraphs())
+@example(OPPOSITE_FIRST)
 def test_is_triangle_free_linear_witness_matches_oracle(h):
     # on linear input a firing screen hands over to the smallest apex
     assume(hi.is_linear(h)[0])
