@@ -19,7 +19,8 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 # submodule -> the public names it provides; a submodule's own name is
-# public too
+# public too.  This is the one list: each submodule's __all__ is its
+# entry here, read without importing any other submodule.
 _EXPORTS = {
     "core": (
         "Hypergraph",

@@ -32,17 +32,11 @@ from fractions import Fraction
 from numbers import Integral
 from typing import Iterable, NamedTuple, Optional
 
+from . import _EXPORTS
 from .core import Hypergraph
 from .errors import HypothesisViolated
 
-__all__ = [
-    "Step",
-    "ExtractionCertificate",
-    "greedy_extract",
-    "AlphaResult",
-    "exact_alpha",
-    "verify_independent",
-]
+__all__ = list(_EXPORTS["algorithms"])
 
 
 class Step(NamedTuple):

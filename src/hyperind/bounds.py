@@ -43,6 +43,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Union
 
+from . import _EXPORTS
 from .core import Hypergraph
 from .errors import (
     BadUniformity,
@@ -51,22 +52,7 @@ from .errors import (
     NonConvergent,
 )
 
-__all__ = [
-    "potential_weight",
-    "caro_tuza",
-    "shearer_s1",
-    "convexity_minorant",
-    "li_zang",
-    "chishti",
-    "potential",
-    "caro_tuza_total",
-    "chishti_bound",
-    "TableRow",
-    "bound_table",
-    "table_to_csv",
-    "table_to_json",
-    "as_ratio",
-]
+__all__ = list(_EXPORTS["bounds"])
 
 Real = Union[int, float, Fraction]
 

@@ -11,18 +11,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable
 
+from . import _EXPORTS
 from .errors import EmptyEdge, EmptyHypergraph, HgFormatError, InvalidVertex
 
 if TYPE_CHECKING:
     from fractions import Fraction
 
-__all__ = [
-    "Hypergraph",
-    "parse_hg",
-    "format_hg",
-    "read_hg",
-    "write_hg",
-]
+__all__ = list(_EXPORTS["core"])
 
 # the generator families; defined here so the CLI parser can offer them
 # without loading the generators module
@@ -220,8 +215,12 @@ def format_hg(h: Hypergraph) -> str:
 
 
 def read_hg(path: str) -> Hypergraph:
-    """Load a .hg file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Load a .hg file: parse_hg on its text, line ends untranslated.
+
+    Bytes that are not UTF-8 decode to lone surrogates, which parse_hg
+    refuses outside a comment like any other non-ASCII character.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         return parse_hg(fh.read())
 
 

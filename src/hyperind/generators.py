@@ -26,20 +26,11 @@ from itertools import combinations
 from math import ceil, comb, exp, lgamma, log
 from typing import NamedTuple
 
+from . import _EXPORTS
 from .core import FAMILIES, Hypergraph
 from .errors import BadSpec
 
-__all__ = [
-    "InstanceSpec",
-    "SplitMix64",
-    "random_linear_triangle_free",
-    "loose_path",
-    "loose_cycle",
-    "matching",
-    "fano",
-    "generate",
-    "FAMILIES",
-]
+__all__ = list(_EXPORTS["generators"])
 
 _M64 = (1 << 64) - 1
 

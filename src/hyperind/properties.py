@@ -13,20 +13,11 @@ from collections import Counter
 from itertools import chain, combinations
 from typing import Iterator, NamedTuple, Optional, Union
 
+from . import _EXPORTS
 from .core import Hypergraph
 from .errors import NotLinear
 
-__all__ = [
-    "VACUOUS",
-    "is_uniform",
-    "has_uniformity",
-    "is_linear",
-    "is_triangle_free",
-    "is_double_linear",
-    "neighborhood_max_degree",
-    "PropertyReport",
-    "property_report",
-]
+__all__ = list(_EXPORTS["properties"])
 
 # Convention value returned by is_uniform for an edgeless hypergraph,
 # which is r-uniform for every r.

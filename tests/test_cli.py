@@ -76,14 +76,16 @@ def test_check_refuses_oversized_header(tmp_path, capsys):
         ("3163 1\n" + " ".join(map(str, range(3163))) + "\n", "above the cap 10000000"),
         # a form feed is no line end, so this is one edge line of two declared
         ("3 2\n0 1\x0c2\n", "control character"),
+        # nor is a bare CR, in a file as in text
+        ("3 2\r0 1\r1 2\n", "control character"),
     ],
-    ids=["edge-over-entry-cap", "form-feed"],
+    ids=["edge-over-entry-cap", "form-feed", "bare-cr"],
 )
 def test_check_refuses_big_edges_and_control_characters(tmp_path, capsys, text, message):
     path = tmp_path / "hostile.hg"
     path.write_bytes(text.encode())
     code, out, err = run(["check", str(path)], capsys)
-    assert (code, out) == (2, "") and message in err
+    assert (code, out) == (2, "") and f"cannot parse {path}: " in err and message in err
 
 
 @pytest.mark.parametrize("token", ["+2", "1_0", "\u0662"])
@@ -93,6 +95,13 @@ def test_check_refuses_numbers_outside_the_format(tmp_path, capsys, token):
     path.write_text(f"11 1\n0 1 {token}\n", encoding="utf-8")
     code, out, err = run(["check", str(path)], capsys)
     assert (code, out) == (2, "") and "cannot parse" in err
+
+
+def test_check_comment_may_hold_any_bytes(tmp_path, capsys):
+    path = tmp_path / "comment.hg"
+    path.write_bytes(b"# \xff\n" + LOOSE_TEXT.encode())
+    code, _, err = run(["check", str(path)], capsys)
+    assert (code, err) == (0, "")
 
 
 def test_check_missing_file(capsys):

@@ -148,41 +148,41 @@ def test_parse_hg_unsorted_input_canonicalizes():
     assert hi.parse_hg("5 2\n2 3 4\n2 1 0\n") == LOOSE
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",  # nothing at all
-        "# only a comment\n",
-        "5\n",  # header too short
-        "5 2 1\n0 1 2\n2 3 4\n",  # header too long
-        "a 2\n0 1 2\n2 3 4\n",  # non-integer n
-        "5 -1\n",  # negative edge count
-        "5 2\n0 1 2\n",  # too few edge lines
-        "5 1\n0 1 2\n2 3 4\n",  # too many edge lines
-        "5 1\n0 x 2\n",  # non-integer vertex
-        "1000001 0\n",  # vertex count above the cap
-        "1000000000 0\n",
-        "+5 1\n0 1 2\n",  # numbers int() reads but the format does not allow
-        "5 1\n0 +1 2\n",
-        "5 1\n0 1_0\n",
-        "5 1\n0 \u0662\n",  # ARABIC-INDIC DIGIT TWO
-        # line ends are '\n' or '\r\n' only: str.splitlines would also
-        # break at each of these and read "0 1" and "2" as two edges
-        "3 2\n0 1\x0c2\n",
-        "3 2\n0 1\x0b2\n",
-        "3 2\n0 1\x1c2\n",
-        "3 2\n0 1\x1d2\n",
-        "3 2\n0 1\x1e2\n",
-        "3 2\n0 1\r2\n",
-        "3 2\n0 1\x852\n",  # NEL
-        "3 2\n0 1\u20282\n",  # LINE SEPARATOR
-        "3 1\n0 1 2\r\r\n",  # a CR before the CRLF
-        "3 1\n\x0c0 1 2\n",  # only spaces and tabs are stripped
-        # 3163 * 3162 neighbour entries, above the cap of 10^7
-        pytest.param("3163 1\n" + " ".join(map(str, range(3163))) + "\n",
-                     id="edge-over-entry-cap"),
-    ],
-)
+MALFORMED = [
+    "",  # nothing at all
+    "# only a comment\n",
+    "5\n",  # header too short
+    "5 2 1\n0 1 2\n2 3 4\n",  # header too long
+    "a 2\n0 1 2\n2 3 4\n",  # non-integer n
+    "5 -1\n",  # negative edge count
+    "5 2\n0 1 2\n",  # too few edge lines
+    "5 1\n0 1 2\n2 3 4\n",  # too many edge lines
+    "5 1\n0 x 2\n",  # non-integer vertex
+    "1000001 0\n",  # vertex count above the cap
+    "1000000000 0\n",
+    "+5 1\n0 1 2\n",  # numbers int() reads but the format does not allow
+    "5 1\n0 +1 2\n",
+    "5 1\n0 1_0\n",
+    "5 1\n0 \u0662\n",  # ARABIC-INDIC DIGIT TWO
+    # line ends are '\n' or '\r\n' only: str.splitlines would also
+    # break at each of these and read "0 1" and "2" as two edges
+    "3 2\n0 1\x0c2\n",
+    "3 2\n0 1\x0b2\n",
+    "3 2\n0 1\x1c2\n",
+    "3 2\n0 1\x1d2\n",
+    "3 2\n0 1\x1e2\n",
+    "3 2\n0 1\r2\n",
+    "3 2\n0 1\x852\n",  # NEL
+    "3 2\n0 1\u20282\n",  # LINE SEPARATOR
+    "3 1\n0 1 2\r\r\n",  # a CR before the CRLF
+    "3 1\n\x0c0 1 2\n",  # only spaces and tabs are stripped
+    # 3163 * 3162 neighbour entries, above the cap of 10^7
+    pytest.param("3163 1\n" + " ".join(map(str, range(3163))) + "\n",
+                 id="edge-over-entry-cap"),
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
 def test_parse_hg_malformed(text):
     with pytest.raises(HgFormatError):
         hi.parse_hg(text)
@@ -218,7 +218,7 @@ def reformatted_hg(draw):
     h = draw(raw_hypergraphs())
     lines = []
     for line in hi.format_hg(h).splitlines():
-        noise = st.sampled_from(["", " \t", "#", "# 1 2", "\t# x"])
+        noise = st.sampled_from(["", " \t", "#", "# 1 2", "\t# x", "# \r\x85\u2028 9"])
         lines += draw(st.lists(noise, max_size=2))
         sep = draw(st.sampled_from([" ", "  ", "\t", " \t "]))
         pad = draw(st.sampled_from(["", " ", "\t"]))
@@ -275,4 +275,31 @@ def test_read_write_files(tmp_path):
     path = tmp_path / "loose.hg"
     hi.write_hg(LOOSE, str(path))
     assert path.read_bytes() == b"5 2\n0 1 2\n2 3 4\n"
+    assert hi.read_hg(str(path)) == LOOSE
+
+
+# --- files read by the text rule ----------------------------------------------
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_read_hg_malformed(tmp_path, text):
+    path = tmp_path / "bad.hg"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(HgFormatError):
+        hi.read_hg(str(path))
+
+
+@settings(max_examples=150)
+@given(reformatted_hg())
+def test_read_hg_reads_what_parse_hg_reads(tmp_path_factory, case):
+    _, text = case
+    path = tmp_path_factory.mktemp("hg") / "text.hg"
+    path.write_bytes(text.encode("utf-8"))
+    assert hi.read_hg(str(path)) == hi.parse_hg(text)
+
+
+def test_read_hg_comment_may_hold_any_bytes(tmp_path):
+    path = tmp_path / "comment.hg"
+    comment = b"# " + bytes(range(0x80, 0x100)) + "\u2028".encode("utf-8")
+    path.write_bytes(comment + b"\n" + hi.format_hg(LOOSE).encode())
     assert hi.read_hg(str(path)) == LOOSE

@@ -33,6 +33,12 @@ BIG_EDGE_FAN = hi.Hypergraph(6, [range(5), (0, 5), (1, 5)])
 EDGE_THEN_TRIANGLE = hi.Hypergraph(12, [range(9), (9, 10), (10, 11), (9, 11)])
 # linear, triangle-free: a big edge with a pendant edge at each vertex
 EDGE_PENDANTS = hi.Hypergraph(18, [range(9)] + [(v, 9 + v) for v in range(9)])
+# non-linear: the pendant shape with one edge repeating the pair {0, 1}
+PENDANTS_SHARED_PAIR = hi.Hypergraph(19, list(EDGE_PENDANTS.edges) + [(0, 1, 18)])
+# the same with a 2-uniform triangle after it
+PENDANTS_SHARED_PAIR_TRIANGLE = hi.Hypergraph(
+    22, list(PENDANTS_SHARED_PAIR.edges) + [(19, 20), (20, 21), (19, 21)]
+)
 K6 = hi.Hypergraph(6, combinations(range(6), 2))
 # linear: the edge opposite the triangle's smallest vertex, 1, is the first with an apex
 OPPOSITE_FIRST = hi.Hypergraph(7, [(0, 2, 3), (1, 2, 5), (1, 3, 6)])
@@ -142,6 +148,8 @@ def test_is_triangle_free_matches_brute(h):
 @example(BIG_EDGE_FAN)
 @example(EDGE_THEN_TRIANGLE)
 @example(EDGE_PENDANTS)
+@example(PENDANTS_SHARED_PAIR)
+@example(PENDANTS_SHARED_PAIR_TRIANGLE)
 @example(K6)
 def test_is_triangle_free_witness_matches_oracle(h):
     wit = first_triangle(h)
@@ -241,6 +249,8 @@ def test_neighborhood_max_degree():
 @example(BIG_EDGE_FAN)
 @example(EDGE_THEN_TRIANGLE)
 @example(EDGE_PENDANTS)
+@example(PENDANTS_SHARED_PAIR)
+@example(PENDANTS_SHARED_PAIR_TRIANGLE)
 @example(K6)
 def test_neighborhood_max_degree_matches_oracle(h):
     # mixed sizes and overlapping edges, so non-linear input too
