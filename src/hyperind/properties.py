@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Iterator, NamedTuple, Optional, Union
 
 from . import _EXPORTS
@@ -47,8 +47,9 @@ def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
     The right side counts the ordered pairs (v, w), v != w, once for each
     edge holding both; the left side counts each such pair once.  So the
     two agree exactly when no pair lies in two edges.  Only on failure
-    does a scan of each edge's pairs, on the incidence index, find the
-    witness.
+    does a scan find the witness, over each edge's pairs of vertices on a
+    repeated pair: v is on one exactly when |N(v)| is below the sum of
+    |e| - 1 over the edges e through v.
 
     Returns (True, None) or (False, (i, j)) where edges i < j share at
     least two vertices: j is the first edge that repeats a pair, i the
@@ -56,10 +57,15 @@ def is_linear(h: Hypergraph) -> tuple[bool, Optional[tuple[int, int]]]:
     """
     if _pairs_counted_once(h):
         return True, None
-    inc = h._incident
-    for j, e in enumerate(h.edges):
-        for a, b in combinations(e, 2):
-            i = min(set(inc[a]).intersection(inc[b]))
+    nbrs, edges = h._neighbor_sets(), h.edges
+    inc = {
+        v: set(ix)
+        for v, ix in enumerate(h._incident)
+        if len(nbrs[v]) < sum(len(edges[i]) - 1 for i in ix)
+    }
+    for j, e in enumerate(edges):
+        for a, b in combinations([v for v in e if v in inc], 2):
+            i = min(inc[a] & inc[b])
             if i < j:
                 return False, (i, j)
     raise AssertionError("pair counts differ but no pair repeats")
@@ -100,41 +106,67 @@ def is_triangle_free(
     non-linear input too: a pair may then lie in several edges and all
     choices of distinct representatives are tried.
 
-    A screen runs first: h is triangle-free when no edge has an apex in
-    _apexes.  A triangle gives one: either u3, seen by u1 and u2, lies
-    outside e3 (likewise for e1 and e2), or all three edges hold
-    {u1, u2, u3} and e1 (say) misses some x of e2 that u1 and u2 see.
-    On linear input the witness is the smallest apex a, of an edge g,
-    with the two smallest b < c of g it sees; else the ordered search runs.
+    One ordered search gives every witness.  On linear input the apexes
+    in _apexes are exactly the triangle vertices (ui is one of ei; an apex
+    of g sees two vertices of g through two other edges), so h is
+    triangle-free when none exists, and else the search walks the smallest
+    apex a and what a sees of each edge it is an apex of.  Non-linear input
+    always has an apex, so the search walks its 2-core (_two_core) at once.
 
     Returns (True, None) or (False, witness) with witness keys
     "vertices" = (u1, u2, u3) and "edges" = (e1, e2, e3) as edge indexes,
     the first by vertices ascending, then by edge indexes ascending.
     """
-    found = _apexes(h)
-    first = next(found, None)
-    if first is None:
-        return True, None
-    nbrs, inc, edges = h._neighbor_sets(), h._incident, h.edges
+    nbrs = h._neighbor_sets()
     if not _pairs_counted_once(h):
-        return _ordered_triangle_search(h, nbrs)
-    firsts = ((min(apexes), g) for g, apexes in chain([first], found))
-    a, b, c, g = min((a, *sorted(nbrs[a].intersection(edges[g]))[:2], g) for a, g in firsts)
-    ac, ab = (min(set(inc[a]).intersection(inc[x])) for x in (c, b))
-    return False, {"vertices": (a, b, c), "edges": (g, ac, ab)}
+        return _ordered_triangle_search(h, nbrs, _two_core(h))
+    firsts = [(min(apexes), g) for g, apexes in _apexes(h)]
+    if not firsts:
+        return True, None
+    a = min(firsts)[0]  # the smallest apex: one of g exactly when g has no smaller
+    seen = (nbrs[a].intersection(h.edges[g]) for b, g in firsts if b == a)
+    return _ordered_triangle_search(h, nbrs, {a}.union(*seen))
 
 
-def _ordered_triangle_search(h: Hypergraph, nbrs: tuple[frozenset[int], ...]):
-    incident = [set(ix) for ix in h._incident]
-    ends = {v for v, ix in enumerate(incident) if len(ix) > 1}  # others are in no triangle
+def _two_core(h: Hypergraph) -> set[int]:
+    """Vertices left after peeling, to the fixpoint, every vertex on fewer
+    than two edges that hold another unpeeled vertex.
+
+    No triangle vertex is peeled: it lies on two triangle edges, and each
+    holds another triangle vertex.  Each edge keeps its count and the sum
+    of its unpeeled vertices, so the last one is found at once: O(sum |e|).
+    """
+    edges, inc = h.edges, h._incident
+    left, rest, live = list(map(len, edges)), list(map(sum, edges)), list(map(len, inc))
+    for e in edges:
+        if len(e) == 1:  # holds no pair
+            live[e[0]] -= 1
+    keep = [d > 1 for d in live]
+    peel = [v for v, d in enumerate(live) if d < 2]
+    while peel:
+        v = peel.pop()
+        for i in inc[v]:
+            left[i] -= 1
+            rest[i] -= v
+            if left[i] == 1:  # edge i no longer holds a pair for rest[i]
+                w = rest[i]
+                live[w] -= 1
+                if keep[w] and live[w] < 2:
+                    keep[w] = False
+                    peel.append(w)
+    return {v for v, k in enumerate(keep) if k}
+
+
+def _ordered_triangle_search(h: Hypergraph, nbrs: tuple[frozenset[int], ...], walk: set[int]):
+    incident = {v: set(h._incident[v]) for v in walk}
 
     def through(x: int, y: int) -> list[int]:
         return sorted(incident[x] & incident[y])
 
-    covered = ((a, b) for a in sorted(ends) for b in sorted(nbrs[a] & ends) if b > a)
+    covered = ((a, b) for a in sorted(walk) for b in sorted(nbrs[a] & walk) if b > a)
     for a, b in covered:
         # triple {a,b,c} is handled at its two smallest vertices
-        for c in sorted(w for w in nbrs[a] & nbrs[b] & ends if w > b):
+        for c in sorted(w for w in nbrs[a] & nbrs[b] & walk if w > b):
             for i1 in through(b, c):
                 for i2 in through(a, c):
                     for i3 in through(a, b) if i2 != i1 else ():

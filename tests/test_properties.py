@@ -39,6 +39,20 @@ PENDANTS_SHARED_PAIR = hi.Hypergraph(19, list(EDGE_PENDANTS.edges) + [(0, 1, 18)
 PENDANTS_SHARED_PAIR_TRIANGLE = hi.Hypergraph(
     22, list(PENDANTS_SHARED_PAIR.edges) + [(19, 20), (20, 21), (19, 21)]
 )
+# non-linear, triangle-free: the pendant shape, then a separate pair in two edges
+PENDANTS_SEPARATE_PAIR = hi.Hypergraph(21, list(EDGE_PENDANTS.edges) + [(18, 19, 20), (18, 19)])
+# the same with pendant paths of length 2, which one round of peeling leaves
+PENDANT_PATHS_SEPARATE_PAIR = hi.Hypergraph(
+    30,
+    [range(9)]
+    + [(v, 9 + v) for v in range(9)]
+    + [(9 + v, 18 + v) for v in range(9)]
+    + [(27, 28, 29), (27, 28)],
+)
+# non-linear: a star whose hub is on no repeated pair, then a pair in two edges
+STAR_PAIR = hi.Hypergraph(14, [(0, k) for k in range(1, 11)] + [(11, 12, 13), (11, 12)])
+# the triangle (0, 1, 2) has every edge holding all three vertices
+TRIPLE_IN_THREE = hi.Hypergraph(6, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)])
 K6 = hi.Hypergraph(6, combinations(range(6), 2))
 # linear: the edge opposite the triangle's smallest vertex, 1, is the first with an apex
 OPPOSITE_FIRST = hi.Hypergraph(7, [(0, 2, 3), (1, 2, 5), (1, 3, 6)])
@@ -86,6 +100,10 @@ def test_is_linear_matches_brute(h):
 
 @settings(max_examples=200)
 @given(raw_hypergraphs(max_m=12))
+@example(PENDANTS_SEPARATE_PAIR)
+@example(PENDANT_PATHS_SEPARATE_PAIR)
+@example(STAR_PAIR)
+@example(TRIPLE_IN_THREE)
 def test_is_linear_witness_matches_oracle(h):
     wit = first_repeated_pair(h)
     assert hi.is_linear(h) == (wit is None, wit)
@@ -151,6 +169,10 @@ def test_is_triangle_free_matches_brute(h):
 @example(PENDANTS_SHARED_PAIR)
 @example(PENDANTS_SHARED_PAIR_TRIANGLE)
 @example(K6)
+@example(PENDANTS_SEPARATE_PAIR)
+@example(PENDANT_PATHS_SEPARATE_PAIR)
+@example(STAR_PAIR)
+@example(TRIPLE_IN_THREE)
 def test_is_triangle_free_witness_matches_oracle(h):
     wit = first_triangle(h)
     assert hi.is_triangle_free(h) == (wit is None, wit)
@@ -252,6 +274,10 @@ def test_neighborhood_max_degree():
 @example(PENDANTS_SHARED_PAIR)
 @example(PENDANTS_SHARED_PAIR_TRIANGLE)
 @example(K6)
+@example(PENDANTS_SEPARATE_PAIR)
+@example(PENDANT_PATHS_SEPARATE_PAIR)
+@example(STAR_PAIR)
+@example(TRIPLE_IN_THREE)
 def test_neighborhood_max_degree_matches_oracle(h):
     # mixed sizes and overlapping edges, so non-linear input too
     assert hi.neighborhood_max_degree(h) == brute_nbhd_max_degree(h)
