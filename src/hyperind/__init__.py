@@ -18,9 +18,11 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it provides; a submodule's own name is
-# public too.  This is the one list: each submodule's __all__ is its
-# entry here, read without importing any other submodule.
+# submodule -> the public names it provides at package level; a
+# submodule's own name is public too.  This is the one list: the
+# __all__ of core, properties, bounds, algorithms and generators is
+# their entry here, read without importing any other submodule.
+# errors and cli export no name here and keep their own __all__.
 _EXPORTS = {
     "core": (
         "Hypergraph",
@@ -76,6 +78,7 @@ _EXPORTS = {
         "random_linear_triangle_free",
     ),
     "errors": (),
+    "cli": (),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

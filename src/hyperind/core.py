@@ -163,47 +163,54 @@ def parse_hg(text: str) -> Hypergraph:
     count above 10^6, edges whose sizes k sum k(k - 1) above 10^7, numbers
     such as '+2', '1_0' or non-ASCII digits and control characters other
     than a tab or a CR before the line end, and InvalidVertex/EmptyEdge
-    for ids outside the declared range.
+    for ids outside the declared range.  Every refusal but a wrong count
+    of edge lines fires at the first line that breaks the rule.
     """
-    payload = []
-    for raw in text.split("\n"):
-        line = raw.removesuffix("\r").strip(" \t")
+    return _parse_lines(text.split("\n"))
+
+
+def _parse_lines(lines: Iterable[str]) -> Hypergraph:
+    """The .hg rule over lines, each with or without its closing LF.
+
+    Each line is checked, converted once and taken as the header or as
+    an edge; parse_hg and read_hg both read through this one loop.
+    """
+    n = None
+    edges = []
+    entries = 0
+    for raw in lines:
+        line = raw.removesuffix("\n").removesuffix("\r").strip(" \t")
         if not line or line.startswith("#"):
             continue
         if not line.isascii() or "+" in line or "_" in line:
             raise HgFormatError(f"numbers must be -?[0-9]+ in ASCII, got {line!r}")
         if not line.replace("\t", " ").isprintable():
             raise HgFormatError(f"control character in {line!r}")
-        payload.append(line)
-    if not payload:
-        raise HgFormatError("no header line")
-    head = payload[0].split()
-    if len(head) != 2:
-        raise HgFormatError(f"header must be 'n m', got {payload[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError as exc:
-        raise HgFormatError(f"non-integer header field in {payload[0]!r}") from exc
-    if m < 0:
-        raise HgFormatError(f"negative edge count {m}")
-    if n > _MAX_HG_VERTICES:
-        raise HgFormatError(f"vertex count {n} exceeds the cap {_MAX_HG_VERTICES}")
-    body = payload[1:]
-    if len(body) != m:
-        raise HgFormatError(f"expected {m} edge lines, found {len(body)}")
-    edges = []
-    entries = 0
-    for line in body:
+        fields = line.split()
+        if n is None and len(fields) != 2:
+            raise HgFormatError(f"header must be 'n m', got {line!r}")
         try:
-            edge = [int(tok) for tok in line.split()]
+            nums = [int(tok) for tok in fields]
         except ValueError as exc:
-            raise HgFormatError(f"non-integer vertex id in {line!r}") from exc
-        entries += len(edge) * (len(edge) - 1)
-        edges.append(edge)
-    if entries > _MAX_HG_ENTRIES:
-        raise HgFormatError(
-            f"edges imply {entries} neighbour entries, above the cap {_MAX_HG_ENTRIES}"
-        )
+            what = "header field" if n is None else "vertex id"
+            raise HgFormatError(f"non-integer {what} in {line!r}") from exc
+        if n is None:
+            n, m = nums
+            if m < 0:
+                raise HgFormatError(f"negative edge count {m}")
+            if n > _MAX_HG_VERTICES:
+                raise HgFormatError(f"vertex count {n} exceeds the cap {_MAX_HG_VERTICES}")
+            continue
+        entries += len(nums) * (len(nums) - 1)
+        if entries > _MAX_HG_ENTRIES:
+            raise HgFormatError(
+                f"edges imply {entries} neighbour entries, above the cap {_MAX_HG_ENTRIES}"
+            )
+        edges.append(nums)
+    if n is None:
+        raise HgFormatError("no header line")
+    if len(edges) != m:
+        raise HgFormatError(f"expected {m} edge lines, found {len(edges)}")
     return Hypergraph(n, edges)
 
 
@@ -215,13 +222,15 @@ def format_hg(h: Hypergraph) -> str:
 
 
 def read_hg(path: str) -> Hypergraph:
-    """Load a .hg file: parse_hg on its text, line ends untranslated.
+    """Load a .hg file line by line under parse_hg's rule.
 
-    Bytes that are not UTF-8 decode to lone surrogates, which parse_hg
-    refuses outside a comment like any other non-ASCII character.
+    Lines end at LF only and reach the rule untranslated, so a bare CR
+    stays inside its line and is refused there.  Bytes that are not UTF-8
+    decode to lone surrogates, which the rule refuses outside a comment
+    like any other non-ASCII character.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        return parse_hg(fh.read())
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
+        return _parse_lines(fh)
 
 
 def write_hg(h: Hypergraph, path: str) -> None:

@@ -27,7 +27,7 @@ from math import ceil, comb, exp, lgamma, log
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .core import FAMILIES, Hypergraph
+from .core import _MAX_HG_ENTRIES, _MAX_HG_VERTICES, FAMILIES, Hypergraph
 from .errors import BadSpec
 
 __all__ = list(_EXPORTS["generators"])
@@ -251,8 +251,27 @@ def generate(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     and ignored); fano ignores every size field.  The second return
     value is False only when the random family stopped short of its
     edge target.
+
+    Raises BadSpec, before building anything, for an instance whose .hg
+    text parse_hg would refuse: more than 10^6 vertices, or m edges of r
+    vertices with m r (r - 1) above 10^7 (the edge target, for random).
     """
     _validate(spec)
+    if spec.family != "fano":  # 7 vertices and 42 entries, whatever the spec
+        k, r = spec.m, spec.r
+        n = {
+            "random": spec.n,
+            "loose_path": k * (r - 1) + 1,
+            "loose_cycle": k * (r - 1),
+            "matching": k * r,
+        }[spec.family]
+        if n > _MAX_HG_VERTICES:
+            raise BadSpec(f"vertex count {n} exceeds the cap {_MAX_HG_VERTICES}")
+        if k * r * (r - 1) > _MAX_HG_ENTRIES:
+            raise BadSpec(
+                f"{k} edges of {r} vertices imply {k * r * (r - 1)} neighbour "
+                f"entries, above the cap {_MAX_HG_ENTRIES}"
+            )
     if spec.family == "random":
         return random_linear_triangle_free(spec)
     if spec.family == "loose_path":

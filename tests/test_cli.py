@@ -78,8 +78,12 @@ def test_check_refuses_oversized_header(tmp_path, capsys):
         ("3 2\n0 1\x0c2\n", "control character"),
         # nor is a bare CR, in a file as in text
         ("3 2\r0 1\r1 2\n", "control character"),
+        # a refusal fires at the line that breaks the rule: the big edge
+        # crosses the entry cap before the form feed's line is read
+        ("3163 2\n" + " ".join(map(str, range(3163))) + "\n0 1\x0c2\n",
+         "above the cap 10000000"),
     ],
-    ids=["edge-over-entry-cap", "form-feed", "bare-cr"],
+    ids=["edge-over-entry-cap", "form-feed", "bare-cr", "first-breaking-line"],
 )
 def test_check_refuses_big_edges_and_control_characters(tmp_path, capsys, text, message):
     path = tmp_path / "hostile.hg"
@@ -333,11 +337,20 @@ def test_gen_family_choices(capsys):
     assert "{" + ",".join(hi.FAMILIES) + "}" in err
 
 
-def test_gen_bad_spec(capsys):
-    code, _, err = run(
-        ["gen", "--family", "random", "--n", "2", "--r", "3", "--m", "1"], capsys
-    )
-    assert code == 2 and "error:" in err
+def test_gen_bad_spec(tmp_path, capsys):
+    dest = tmp_path / "bad.hg"
+    for argv in (
+        ["--family", "random", "--n", "2", "--r", "3", "--m", "1"],
+        # instances whose .hg text check would refuse, refused before any
+        # per-vertex set is built: n = 10^6 + 1 and 1.2 * 10^6 vertices,
+        # and 1.9 * 10^7 neighbour entries on 950,001 vertices
+        ["--family", "random", "--n", "1000001", "--r", "2", "--m", "0"],
+        ["--family", "matching", "--m", "400000", "--r", "3"],
+        ["--family", "loose_path", "--m", "50000", "--r", "20"],
+    ):
+        code, out, err = run(["gen", *argv, "-o", str(dest)], capsys)
+        assert code == 2 and out == "" and "error:" in err, argv
+        assert not dest.exists()
 
 
 def test_gen_beyond_64_bit_candidate_space_is_usage_error(tmp_path, capsys):

@@ -50,6 +50,11 @@ def test_unrank_subset_boundary_ranks_match_oracle():
     for n, r in cases + [(n, r) for n in LARGE_N for r in (2, 4)]:
         for index in (0, comb(n, r) - 1):
             assert _unrank_subset(index, n, r) == lex_unrank_subset(index, n, r)
+    # a rank whose float root guess lands one above the answer, so the
+    # first element is stepped down to (the oracle stops after 8 vertices)
+    n = 403_123_860
+    index = comb(n, 2) - 81_254_420_630_344_731
+    assert _unrank_subset(index, n, 2) == lex_unrank_subset(index, n, 2) == (6, 7)
 
 
 @st.composite
@@ -241,6 +246,18 @@ def test_bad_specs():
         hi.random_linear_triangle_free(hi.InstanceSpec("random", n=2, r=3, m=1))
     with pytest.raises(BadSpec, match="vertex count"):
         hi.random_linear_triangle_free(hi.InstanceSpec("random", n=-1, r=3, m=1))
+    # instances whose .hg text parse_hg would refuse, refused before any
+    # per-vertex set is built: the family's own vertex count above 10^6,
+    # or m r (r - 1) neighbour entries above 10^7
+    for family, n, r, m, message in (
+        ("random", 10**6 + 1, 2, 0, "vertex count 1000001 exceeds"),
+        ("loose_path", 0, 2, 10**6, "vertex count 1000001 exceeds"),
+        ("loose_cycle", 0, 3, 500001, "vertex count 1000002 exceeds"),
+        ("matching", 0, 3, 400000, "vertex count 1200000 exceeds"),
+        ("loose_path", 0, 20, 50000, "19000000 neighbour entries, above the cap"),
+    ):
+        with pytest.raises(BadSpec, match=message):
+            hi.generate(hi.InstanceSpec(family, n=n, r=r, m=m))
 
 
 def test_candidate_space_beyond_64_bits_is_refused():
@@ -356,3 +373,5 @@ def test_generate_dispatch():
         hi.matching(3, 3)
     )
     assert hi.generate(hi.InstanceSpec("fano", n=0, r=3, m=0))[0] == hi.fano()
+    # fano ignores the size fields, and so the size caps
+    assert hi.generate(hi.InstanceSpec("fano", n=10**9, r=3, m=10**9))[0] == hi.fano()

@@ -19,7 +19,8 @@ LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
 # --- namespace ---------------------------------------------------------------
 
 
-def test_import_loads_no_submodule():
+def _fresh_modules(code: str) -> str:
+    """The hyperind modules a fresh interpreter holds after import hyperind; code."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -27,14 +28,28 @@ def test_import_loads_no_submodule():
         [
             sys.executable,
             "-c",
-            "import sys, hyperind; print(*sorted(m for m in sys.modules if 'hyperind' in m))",
+            f"import sys, hyperind; {code}; "
+            "print(*sorted(m for m in sys.modules if 'hyperind' in m))",
         ],
         capture_output=True,
         text=True,
         env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "hyperind\n"
+    return proc.stdout
+
+
+def test_import_loads_no_submodule():
+    assert _fresh_modules("pass") == "hyperind\n"
+
+
+@pytest.mark.parametrize("name", ["cli", "bounds"])
+def test_submodule_attribute_loads_only_that_submodule(name):
+    # the package attribute, read first, imports the submodule and what
+    # it imports itself, no more
+    loaded = _fresh_modules(f"hyperind.{name}")
+    assert f"hyperind.{name}" in loaded.split()
+    assert loaded == _fresh_modules(f"import hyperind.{name}")
 
 
 def test_public_names_are_their_home_modules_objects():
