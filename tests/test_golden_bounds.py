@@ -21,6 +21,10 @@ without the test extras.  cli_bounds_table_r3_d40_json does the same for
 `hyperind bounds-table --r 3 --d-max 40 --format json`, which prints
 the tolerance and every float in full; it was re-recorded with
 tables_d400_full.
+
+li_zang_m1_5_full pins li_zang's bits where the tables do not reach:
+one sha256 over li_zang(r, m, x).hex() for r = 2..6, m = 1..5, x in
+GRID_X and at every degree 0..60.  Each point returns a value.
 """
 
 from __future__ import annotations
@@ -74,6 +78,15 @@ def test_bounds_table_cli_json_output_frozen(capsys):
     out = capsys.readouterr().out
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == GOLDEN["cli_bounds_table_r3_d40_json"]
+
+
+def test_li_zang_frozen_at_full_precision_for_m_up_to_5():
+    sha = hashlib.sha256()
+    for r in range(2, 7):
+        for m in range(1, 6):
+            for x in GRID_X + tuple(range(61)):
+                sha.update(f"{r} {m} {x!r} {hi.li_zang(r, m, x).hex()}\n".encode())
+    assert sha.hexdigest() == GOLDEN["li_zang_m1_5_full"]
 
 
 def _grid_points():
