@@ -14,7 +14,9 @@ Five families of per-vertex weight functions are provided:
   Panels are dyadic halvings of [0, 1], so every degree visits the same
   panel nodes; the values there that do not depend on the degree are
   kept in one bounded panel cache, keyed by r and m and shared across
-  calls, so a bound table pays for each panel's powers once.
+  calls, so a bound table pays for each panel's powers once.  Each
+  entry pairs a node's numerator with its t, so a degree's pass reads
+  both in one step and divides by the float m + (x - m)t.
 * ``chishti`` -- integral-form bound in closed form: a Gauss
   hypergeometric function, summed by the one series that converges
   geometrically at the argument and stopped on a proven tail bound.
@@ -67,8 +69,16 @@ def _check_d(d: int) -> None:
         raise NegativeDegree(f"degree must be a non-negative integer, got {d!r}")
 
 
+def _as_float(name: str, v: Real) -> float:
+    """v as a float, or ValueError where v has no float value."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{name} is too large for a float") from None
+
+
 def _check_x(x: Real) -> float:
-    xf = float(x)
+    xf = _as_float("argument", x)
     if not math.isfinite(xf):
         raise ValueError(f"argument must be finite, got {x!r}")
     if xf < 0:
@@ -122,8 +132,9 @@ def caro_tuza(r: int, d: int) -> Fraction:
 def shearer_s1(d: Real) -> float:
     """Graph bound (d ln d - d + 1) / (d - 1)^2 at a real argument d >= 0.
 
-    This is chishti(2, d): 1/2 at d = 1, exactly 1.0 at d = 0; a
-    non-finite d raises ValueError, a negative one NegativeDegree.
+    This is chishti(2, d): 1/2 at d = 1, exactly 1.0 at d = 0; a d that
+    is not finite or too large for a float raises ValueError, a negative
+    one NegativeDegree.
     """
     return chishti(2, d)
 
@@ -177,12 +188,13 @@ _PANEL_CACHE_SIZE = 1024
 @functools.lru_cache(maxsize=_PANEL_CACHE_SIZE)
 def _panel(
     rm1: int, gamma: float, a: float, b: float
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """li_zang's numerator (r-1)(1-t)^gamma and t = min(u^(r-1), 1) at
-    the GL15 and then the GL7 nodes u of [a, b]."""
+) -> tuple[tuple[float, float], ...]:
+    """li_zang's (numerator, t) pairs at the GL15 and then the GL7 nodes
+    u of [a, b]: t = min(u^(r-1), 1) and numerator (r-1)(1-t)^gamma,
+    paired so that li_zang reads each node's two values in one step."""
     c, hw = 0.5 * (a + b), 0.5 * (b - a)
-    ts = tuple(min((c + hw * x) ** rm1, 1.0) for x in _NODES)
-    return tuple(rm1 * (1.0 - t) ** gamma for t in ts), ts
+    ts = (min((c + hw * x) ** rm1, 1.0) for x in _NODES)
+    return tuple((rm1 * (1.0 - t) ** gamma, t) for t in ts)
 
 
 def _beta(alpha: float, beta: float) -> float:
@@ -202,6 +214,7 @@ def li_zang(r: int, m: int, x: Real) -> float:
     1.0 is returned without quadrature.  A non-finite x raises
     ValueError, a negative one NegativeDegree, and an x > 0 so small
     that x - m rounds to -m NonConvergent (0/0 where t rounds to 1).
+    An x, m or (r-1)^2 m too large for a float raises ValueError.
 
     The quadrature halves the dyadic panel of [0, 1] with the largest
     |GL15 - GL7| until the summed estimate, on the bound's scale, drops
@@ -213,18 +226,21 @@ def li_zang(r: int, m: int, x: Real) -> float:
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be an integer >= 1, got {m!r}")
     xf = _check_x(x)
+    rm1 = r - 1
+    # float + float in the nodes' denominators: int + float converts the
+    # int by this same correctly rounded conversion, so no bit moves
+    mf = _as_float("m", m)
+    gamma = 1.0 / _as_float("(r-1)^2 m", rm1 * rm1 * m)  # exponent a/m
     if xf == 0.0:
         return 1.0
-    rm1 = r - 1
-    gamma = 1.0 / (rm1 * rm1 * m)  # exponent a/m
     bnorm = _beta(1.0 / rm1, gamma)
-    k = xf - m
-    tol = _TOL * bnorm / m  # _TOL on the integral's own scale
+    k = xf - mf
+    tol = _TOL * bnorm / mf  # _TOL on the integral's own scale
 
     def panel(a: float, b: float) -> tuple[float, float]:
         hw = 0.5 * (b - a)
         try:
-            ys = [num / (m + k * t) for num, t in zip(*_panel(rm1, gamma, a, b))]
+            ys = [num / (mf + k * t) for num, t in _panel(rm1, gamma, a, b)]
         except ZeroDivisionError:  # 0/0 at t == 1.0 once x - m rounds to -m
             raise NonConvergent(
                 f"li_zang has no float integrand at x={xf!r}"
@@ -255,7 +271,7 @@ def li_zang(r: int, m: int, x: Real) -> float:
         total_err += e1 + e2 + neg_e
         heapq.heappush(heap, (-e1, a, mid, v1))
         heapq.heappush(heap, (-e2, mid, b, v2))
-    return (m / bnorm) * math.fsum(item[3] for item in heap)
+    return (mf / bnorm) * math.fsum(item[3] for item in heap)
 
 
 # ---------------------------------------------------------------------------
@@ -351,19 +367,20 @@ def chishti(r: int, x: Real) -> float:
     Each series stops on a proven tail bound (see _hyp1), so no call
     raises NonConvergent; against mpmath's hyp2f1 the relative error is
     within 1e-14.  A non-finite x raises ValueError, a negative one
-    NegativeDegree, and x = 0 gives exactly 1.0.
+    NegativeDegree, an x or r - 1 too large for a float ValueError, and
+    x = 0 gives exactly 1.0.
     """
     _check_r(r)
     xf = _check_x(x)
+    rm1 = r - 1
+    a = 1.0 / _as_float("r - 1", rm1)
     if xf == 0.0:
         return 1.0
-    rm1 = r - 1
     if r == 2 and xf <= 0.5:
         return (xf * math.log(xf) - xf + 1.0) / (1.0 - xf) ** 2
     if r == 2 and xf >= 2.0:
         v = 1.0 / xf  # the same closed form, free of overflow at large x
         return v * (math.log(xf) - 1.0 + v) / (1.0 - v) ** 2
-    a = 1.0 / rm1
     s = rm1 * xf
     if s >= 2.0:
         u = 1.0 / rm1 / xf  # not 1/s, which is 0 once s overflows

@@ -163,8 +163,9 @@ def parse_hg(text: str) -> Hypergraph:
     count above 10^6, edges whose sizes k sum k(k - 1) above 10^7, numbers
     such as '+2', '1_0' or non-ASCII digits and control characters other
     than a tab or a CR before the line end, and InvalidVertex/EmptyEdge
-    for ids outside the declared range.  Every refusal but a wrong count
-    of edge lines fires at the first line that breaks the rule.
+    for ids outside the declared range.  Every refusal but too few edge
+    lines fires at the first line that breaks the rule; more than m edge
+    lines are refused at edge line m + 1.
     """
     return _parse_lines(text.split("\n"))
 
@@ -201,6 +202,8 @@ def _parse_lines(lines: Iterable[str]) -> Hypergraph:
             if n > _MAX_HG_VERTICES:
                 raise HgFormatError(f"vertex count {n} exceeds the cap {_MAX_HG_VERTICES}")
             continue
+        if len(edges) == m:
+            raise HgFormatError(f"more than {m} edge lines, at {line!r}")
         entries += len(nums) * (len(nums) - 1)
         if entries > _MAX_HG_ENTRIES:
             raise HgFormatError(
@@ -209,7 +212,7 @@ def _parse_lines(lines: Iterable[str]) -> Hypergraph:
         edges.append(nums)
     if n is None:
         raise HgFormatError("no header line")
-    if len(edges) != m:
+    if len(edges) < m:
         raise HgFormatError(f"expected {m} edge lines, found {len(edges)}")
     return Hypergraph(n, edges)
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -224,6 +225,22 @@ def test_quadrature_argument_errors():
 def test_non_finite_argument_raises(bound, x):
     with pytest.raises(ValueError, match="finite"):
         bound(x)
+
+
+@pytest.mark.parametrize("x", [0, 1.0])
+def test_parameters_without_a_float_value_raise(x):
+    # ValueError, not OverflowError, and at x = 0 as well
+    huge = 10**400
+    for call, name in (
+        (lambda: hi.li_zang(3, huge, x), "m"),
+        (lambda: hi.li_zang(huge, 1, x), "(r-1)^2 m"),
+        (lambda: hi.li_zang(3, 10**308, x), "(r-1)^2 m"),
+        (lambda: hi.chishti(huge, x), "r - 1"),
+        (lambda: hi.li_zang(3, 1, huge), "argument"),
+        (lambda: hi.shearer_s1(huge), "argument"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"{name} is too large")):
+            call()
 
 
 def test_unreachable_tolerance_raises():

@@ -168,6 +168,16 @@ def test_bounds_table_d_max_cap(capsys, monkeypatch):
     assert (code, out, calls) == (0, "d,f_LZ,f_CZPI,f_CT,f_r\n", [10000])
 
 
+@pytest.mark.parametrize("flag", ["--r", "--m"])
+def test_bounds_table_flag_without_a_float_value(flag, capsys):
+    flags = {"--r": "3", "--d-max": "1", "--m": "1"}
+    flags[flag] = "1" + "0" * 400
+    argv = ["bounds-table"] + [tok for item in flags.items() for tok in item]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "too large for a float" in err
+
+
 def test_unknown_flag_is_hard_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["bounds-table", "--r", "3", "--d-max", "5", "--frobnicate"])

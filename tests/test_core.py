@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import hyperind as hi
 from hyperind.algorithms import _Residual
+from hyperind.core import _parse_lines
 from hyperind.errors import EmptyEdge, EmptyHypergraph, HgFormatError, InvalidVertex
 from oracles import brute_linear
 from strategies import raw_hypergraphs
@@ -186,6 +187,22 @@ MALFORMED = [
 def test_parse_hg_malformed(text):
     with pytest.raises(HgFormatError):
         hi.parse_hg(text)
+
+
+def test_parse_refuses_the_first_edge_line_past_m():
+    def lines():
+        yield "2 1\n"
+        yield "0\n"
+        yield "# a comment and a blank line are not edge lines\n"
+        yield "\n"
+        yield "1\n"  # edge line m + 1
+        raise AssertionError("read past edge line m + 1")
+
+    with pytest.raises(HgFormatError, match="more than 1 edge lines"):
+        _parse_lines(lines())
+    # too few edge lines are refused at the end, with the count found
+    with pytest.raises(HgFormatError, match="expected 2 edge lines, found 1"):
+        hi.parse_hg("2 2\n0\n# end\n")
 
 
 def test_parse_hg_admits_large_vertex_counts():
