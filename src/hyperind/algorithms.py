@@ -34,7 +34,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from . import _EXPORTS
 from .core import Hypergraph
-from .errors import HypothesisViolated
+from .errors import BadArgument, HypothesisViolated
 
 __all__ = list(_EXPORTS["algorithms"])
 
@@ -119,14 +119,19 @@ class _Residual:
         disjoint, each has one vertex per live edge through x, and
         together they cover x's live neighbourhood.  A vertex on a live
         one-vertex edge has no slots, so it is never kept.
+        Only min(r, k) - 1 slots are built, k the longest live edge
+        through x: any later slot would repeat the last one, and the
+        first-maximum rule never picks a repeat.
         The slots depend on x's live edges only, so they are kept until
         delete removes one of them.
         """
         slots = self._slots[x]
         if slots is None:
-            sets = [set() for _ in range(self.r - 1)]
+            edges = self.edges
+            longest = max((len(edges[i]) for i in self.inc[x]), default=0)
+            sets = [set() for _ in range(min(self.r, longest) - 1)]
             for i in self.inc[x]:
-                rest = [v for v in self.edges[i] if v != x]
+                rest = [v for v in edges[i] if v != x]
                 if not rest:
                     sets = []
                     break
@@ -327,9 +332,9 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     """
     if budget is not None:
         if isinstance(budget, bool) or not isinstance(budget, Integral):
-            raise ValueError(f"budget must be an int or None, got {budget!r}")
+            raise BadArgument(f"budget must be an int or None, got {budget!r}")
         if budget < 0:
-            raise ValueError(f"budget must be non-negative, got {budget}")
+            raise BadArgument(f"budget must be non-negative, got {budget}")
     n = h.n
     edge_masks = []
     vmask = [0] * n  # vertex -> mask of the indexes of its edges

@@ -48,6 +48,7 @@ from typing import NamedTuple, Union
 from . import _EXPORTS
 from .core import Hypergraph
 from .errors import (
+    BadArgument,
     BadUniformity,
     EmptyHypergraph,
     NegativeDegree,
@@ -70,17 +71,17 @@ def _check_d(d: int) -> None:
 
 
 def _as_float(name: str, v: Real) -> float:
-    """v as a float, or ValueError where v has no float value."""
+    """v as a float, or BadArgument where v has no float value."""
     try:
         return float(v)
     except OverflowError:
-        raise ValueError(f"{name} is too large for a float") from None
+        raise BadArgument(f"{name} is too large for a float") from None
 
 
 def _check_x(x: Real) -> float:
     xf = _as_float("argument", x)
     if not math.isfinite(xf):
-        raise ValueError(f"argument must be finite, got {x!r}")
+        raise BadArgument(f"argument must be finite, got {x!r}")
     if xf < 0:
         raise NegativeDegree(f"argument must be non-negative, got {x!r}")
     return xf
@@ -224,7 +225,7 @@ def li_zang(r: int, m: int, x: Real) -> float:
     """
     _check_r(r)
     if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be an integer >= 1, got {m!r}")
+        raise BadArgument(f"m must be an integer >= 1, got {m!r}")
     xf = _check_x(x)
     rm1 = r - 1
     # float + float in the nodes' denominators: int + float converts the

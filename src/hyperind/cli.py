@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: check, bounds-table, extract, exact, gen, compare.  Exit
-codes: 0 success, 1 semantic negative (predicate fails, certificate not
-guaranteed, inexact search, underfilled generation), 2 usage or parse
-errors, including an output path that cannot be written.  Output is
+codes: 0 success; 1 a negative answer (predicate fails, certificate not
+guaranteed, inexact search, underfilled generation) or an internal
+error, which prints a traceback; 2 a refused input, flag or output path,
+raised as BadArgument, with nothing on stdout.  Output is
 byte-deterministic for fixed inputs.
 """
 
@@ -11,18 +12,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from .core import FAMILIES, format_hg, read_hg
 from .errors import (
-    BadSpec,
-    BadUniformity,
+    BadArgument,
     EmptyEdge,
     HgFormatError,
     HyperindError,
     InvalidVertex,
-    NegativeDegree,
 )
 
 __all__ = ["main"]
@@ -30,29 +30,56 @@ __all__ = ["main"]
 _DEFAULT_EXACT_BUDGET = 10**6
 # largest bounds-table --d-max: the exact f_CT and f_r values grow by
 # about 12 bits per degree, so a table's time and memory grow
-# quadratically in d_max (10,000 takes about 5 s and 200 MB)
+# quadratically in d_max (a 10,000 CSV table takes about 2.3 s and 210 MB)
 _MAX_TABLE_DEGREE = 10_000
 # largest n exact search takes: it keeps an int up to n bits wide per edge
 # and per vertex, so memory grows quadratically (+31 MB at n = m = 10,000)
 _MAX_EXACT_VERTICES = 10_000
+# widest common denominator of the exact values a command prints, in
+# decimal digits: under CPython's default int-to-str limit of 4,300, and
+# fixed here so that no interpreter setting changes what is printed
+_MAX_DIGITS = 4_000
 
 
-class _Fail(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+def _too_wide(r: int, top: int, weight) -> Optional[int]:
+    """The first degree d <= top at which the lcm of the denominators of
+    weight(r, 0..d) passes _MAX_DIGITS digits, or None.  The lcm stops
+    there, so a refusal costs no more than an admitted run."""
+    bound = 10**_MAX_DIGITS
+    scale = 1
+    for d in range(top + 1):
+        scale = math.lcm(scale, weight(r, d).denominator)
+        if scale >= bound:
+            return d
+    return None
+
+
+def _check_hub(h, r: int) -> None:
+    """Refuse h when L, the scale of the weights up to its maximum degree
+    and so the denominator of every exact value extract prints, is too
+    wide."""
+    from .bounds import potential_weight
+
+    hub = max(range(h.n), key=h.degree, default=None)
+    top = 0 if hub is None else h.degree(hub)
+    d = _too_wide(r, top, potential_weight)
+    if d is not None:
+        raise BadArgument(
+            f"vertex {hub} has degree {top}: "
+            f"exact weights pass {_MAX_DIGITS} digits at degree {d}"
+        )
 
 
 def _load(path: str, exact: bool = False):
     try:
         h = read_hg(path)
     except (HgFormatError, InvalidVertex, EmptyEdge) as exc:
-        raise _Fail(2, f"cannot parse {path}: {exc}") from exc
+        raise BadArgument(f"cannot parse {path}: {exc}") from exc
     except OSError as exc:
-        raise _Fail(2, f"cannot read {path}: {exc}") from exc
+        raise BadArgument(f"cannot read {path}: {exc}") from exc
     if exact and h.n > _MAX_EXACT_VERTICES:
         cap = _MAX_EXACT_VERTICES
-        raise _Fail(2, f"exact search takes at most {cap} vertices, got {h.n}")
+        raise BadArgument(f"exact search takes at most {cap} vertices, got {h.n}")
     return h
 
 
@@ -61,7 +88,7 @@ def _write(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _Fail(2, f"cannot write {path}: {exc}") from exc
+        raise BadArgument(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(text: str, output: str) -> None:
@@ -81,8 +108,23 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 def cmd_bounds_table(args: argparse.Namespace) -> int:
     if args.d_max > _MAX_TABLE_DEGREE:
-        raise _Fail(2, f"--d-max must be at most {_MAX_TABLE_DEGREE}, got {args.d_max}")
-    from .bounds import bound_table, table_to_csv, table_to_json
+        raise BadArgument(f"--d-max must be at most {_MAX_TABLE_DEGREE}, got {args.d_max}")
+    from .bounds import (
+        bound_table,
+        caro_tuza,
+        potential_weight,
+        table_to_csv,
+        table_to_json,
+    )
+
+    if args.format == "json":
+        for weight in (potential_weight, caro_tuza):
+            d = _too_wide(args.r, args.d_max, weight)
+            if d is not None:
+                raise BadArgument(
+                    f"--format json: exact values pass {_MAX_DIGITS} digits "
+                    f"at degree {d}, got --d-max {args.d_max}"
+                )
 
     rows = bound_table(args.r, args.d_max, m=args.m)
     if args.format == "csv":
@@ -96,7 +138,9 @@ def cmd_bounds_table(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     from .algorithms import greedy_extract
 
-    cert = greedy_extract(_load(args.file), args.r, unsafe=args.unsafe)
+    h = _load(args.file)
+    _check_hub(h, args.r)
+    cert = greedy_extract(h, args.r, unsafe=args.unsafe)
     _emit(cert.to_json() + "\n", args.output)
     return 0 if cert.guaranteed else 1
 
@@ -132,6 +176,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     from .bounds import as_ratio, caro_tuza_total, chishti_bound
 
     h = _load(args.file, exact=args.budget is not None)  # else exact only at n <= 60
+    _check_hub(h, args.r)
     cert = greedy_extract(h, args.r)  # enforces the hypotheses
     pot = cert.guarantee
     ct = caro_tuza_total(h, args.r)
@@ -236,10 +281,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Fail as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (BadSpec, BadUniformity, NegativeDegree, ValueError) as exc:
+    except BadArgument as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except HyperindError as exc:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 __all__ = [
     "HyperindError",
+    "BadArgument",
     "InvalidVertex",
     "EmptyEdge",
     "EmptyHypergraph",
@@ -19,6 +20,10 @@ __all__ = [
 
 class HyperindError(Exception):
     """Base class for all package errors."""
+
+
+class BadArgument(HyperindError, ValueError):
+    """A refused argument, the one error the CLI exits 2 on; a ValueError too."""
 
 
 class InvalidVertex(HyperindError):
@@ -37,11 +42,11 @@ class NotLinear(HyperindError):
     """Two edges share more than one vertex."""
 
 
-class BadUniformity(HyperindError):
+class BadUniformity(BadArgument):
     """The uniformity parameter r is out of range (needs r >= 2)."""
 
 
-class NegativeDegree(HyperindError):
+class NegativeDegree(BadArgument):
     """A degree argument below zero was supplied."""
 
 
@@ -53,7 +58,7 @@ class HypothesisViolated(HyperindError):
     """The input fails a structural precondition (uniform/linear/triangle-free)."""
 
 
-class BadSpec(HyperindError):
+class BadSpec(BadArgument):
     """An instance specification contains invalid parameters."""
 
 

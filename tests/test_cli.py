@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +13,10 @@ from pathlib import Path
 import pytest
 
 import hyperind as hi
+import shapes
+from hyperind import cli, core
 from hyperind.cli import _MAX_EXACT_VERTICES, main
+from hyperind.errors import BadArgument, BadSpec, BadUniformity, NegativeDegree
 
 LOOSE_TEXT = "5 2\n0 1 2\n2 3 4\n"
 
@@ -439,6 +444,151 @@ def test_compare_zero_vertices(tmp_path, capsys):
         "caro_tuza=0/1 caro_tuza_float=0.000000 chishti=n/a "
         "greedy=0 exact=0\n"
     )
+
+
+# --- exit codes and caps ---------------------------------------------------
+
+BIG = "1" + "0" * 400
+TABLE_REFUSALS = [
+    (["--m", "0"], "m must be an integer >= 1, got 0"),
+    (["--m", BIG], "m is too large for a float"),
+    (["--r", BIG], "(r-1)^2 m is too large for a float"),
+    (["--r", "1"], "uniformity must be an integer >= 2, got 1"),
+    (["--d-max", "-1"], "degree must be a non-negative integer, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["exact", "{in}", "--budget", "-1"], "budget must be non-negative, got -1"),
+        (["compare", "{in}", "--r", "3", "--budget", "-1"], "budget must be non-negative, got -1"),
+        (["extract", "{in}", "--r", "1"], "uniformity must be an integer >= 2, got 1"),
+    ]
+    + [
+        (["bounds-table", "--r", "3", "--d-max", "2", *flags, *fmt], message)
+        for flags, message in TABLE_REFUSALS
+        for fmt in ([], ["--format", "json"])
+    ],
+)
+def test_refused_flags_exit_2_with_their_messages(argv, message, loose_file, capsys):
+    # every refusal is a BadArgument, and its message is unchanged
+    argv = [a.format_map({"in": loose_file}) for a in argv]
+    code, out, err = run(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_refusal_classes_are_value_errors():
+    assert issubclass(BadArgument, (hi.errors.HyperindError, ValueError))
+    for cls in (BadSpec, BadUniformity, NegativeDegree):
+        assert issubclass(cls, BadArgument)
+    with pytest.raises(ValueError, match="budget"):
+        hi.exact_alpha(hi.loose_path(2, 3), budget=-1)
+
+
+def test_internal_value_error_exits_1_with_a_traceback(loose_file):
+    # only BadArgument exits 2: a ValueError from a bug escapes main
+    script = (
+        "import sys, hyperind.properties as p\n"
+        "def boom(h): raise ValueError('internal')\n"
+        "p.property_report = boom\n"
+        "from hyperind.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "check", loose_file],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert "Traceback" in proc.stderr and "ValueError: internal" in proc.stderr
+
+
+def _shape_file(tmp_path, name, k):
+    path = tmp_path / f"{name}.hg"
+    path.write_bytes(shapes.hg(name, k))
+    return str(path)
+
+
+@pytest.mark.parametrize("name, k, r", [("star", 1200, 2), ("sunflower", 1211, 3)])
+@pytest.mark.parametrize("command", ["extract", "compare"])
+def test_hub_past_the_width_cap_is_refused_before_any_work(
+    tmp_path, capsys, monkeypatch, name, k, r, command
+):
+    # the weights' common denominator first passes 4,000 digits at these
+    # degrees; the lcm stops there, and the greedy never starts
+    import hyperind.algorithms
+
+    calls = []
+    monkeypatch.setattr(hyperind.algorithms, "greedy_extract", lambda *a, **k: calls.append(a))
+    path = _shape_file(tmp_path, name, k)
+    code, out, err = run([command, path, "--r", str(r)], capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"error: vertex 0 has degree {k}: exact weights pass 4000 digits at degree {k}\n"
+
+
+def test_widest_admitted_star_is_certified(tmp_path, capsys):
+    path = _shape_file(tmp_path, "star", 1199)
+    code, out, _ = run(["extract", path, "--r", "2"], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    p, q = map(int, payload["guarantee"].split("/"))
+    assert len(payload["independent_set"]) >= -(-p // q)
+    assert hi.verify_independent(hi.read_hg(path), payload["independent_set"]) == (True, None)
+
+
+def test_width_cap_brackets():
+    # the lcm of the weights' denominators at degrees 0..d
+    bound = 10**cli._MAX_DIGITS
+    for r, first in ((2, 1200), (3, 1211), (100, 824), (10**6, 493)):
+        assert cli._too_wide(r, first - 1, hi.potential_weight) is None
+        assert cli._too_wide(r, 10**4, hi.potential_weight) == first
+        scale = math.lcm(*(hi.potential_weight(r, d).denominator for d in range(first)))
+        assert scale < bound <= math.lcm(scale, hi.potential_weight(r, first).denominator)
+
+
+def test_json_table_past_the_width_cap_is_refused_before_any_work(capsys, monkeypatch):
+    import hyperind.bounds
+
+    calls = []
+    monkeypatch.setattr(
+        hyperind.bounds, "bound_table", lambda r, d_max, m=1: calls.append(d_max) or []
+    )
+    argv = ["bounds-table", "--r", "3", "--d-max", "10000", "--format", "json"]
+    code, out, err = run(argv, capsys)
+    assert (code, out, calls) == (2, "", [])
+    assert err == "error: --format json: exact values pass 4000 digits at degree 1211, got --d-max 10000\n"
+    # CSV prints floats, so it takes the degree cap only
+    code, _, _ = run(argv[:-2], capsys)
+    assert (code, calls) == (0, [10000])
+
+
+def test_unsafe_extract_builds_no_slot_an_edge_cannot_fill(tmp_path, capsys):
+    from hyperind.algorithms import _Residual
+
+    h = hi.Hypergraph(4, [(0, 1), (1, 2), (1, 2, 3)])
+    res = _Residual(h, 10**6)
+    assert [len(res.slots(v)) for v in range(4)] == [1, 2, 2, 2]
+    path = tmp_path / "path.hg"
+    path.write_bytes(b"3 2\n0 1\n1 2\n")
+    code, out, _ = run(["extract", str(path), "--r", "1000000", "--unsafe"], capsys)
+    assert code == 1 and json.loads(out)["guaranteed"] is False
+
+
+def test_readme_cap_table_lists_every_cap_with_its_value():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(core|cli)\.(_MAX_\w+)` \| ([^|]+) \|.*\| 2 \|$", readme, re.M)
+    listed = {}
+    for module, name, value in rows:
+        listed[name] = value
+        value = value.strip().replace(",", "").replace("^", "**")
+        assert eval(value, {}) == getattr({"core": core, "cli": cli}[module], name), name
+    caps = {n for m in (core, cli) for n in vars(m) if n.startswith("_MAX_")}
+    assert set(listed) == caps
 
 
 # --- whole-process invocation ----------------------------------------------

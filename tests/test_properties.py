@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import hyperind as hi
+import shapes
 from hyperind.errors import NotLinear
 from oracles import (
     brute_linear,
@@ -22,25 +23,26 @@ from oracles import (
 from strategies import raw_hypergraphs
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
+
+
+def shape(name: str, k: int) -> hi.Hypergraph:
+    return hi.Hypergraph(*shapes.build(name, k))
+
+
 # shapes on which a predicate can cost the square or cube of their size
-BIG_EDGE = hi.Hypergraph(9, [range(9)])
-SHARED_PAIR = hi.Hypergraph(10, [(0, 1, i) for i in range(2, 10)])
+BIG_EDGE = shape("big_edge", 9)
+SHARED_PAIR = shape("shared_pair", 8)
 BOOK = hi.Hypergraph(11, [(0, 1, 2, 3, 4), (0, 1, 5, 6, 7), (0, 1, 8, 9, 10)])
 BOOK_CHORD = hi.Hypergraph(11, list(BOOK.edges) + [(2, 5)])  # triangle (0, 2, 5)
 # linear: a big edge holding two neighbours of 5, and the triangle (0, 1, 5)
 BIG_EDGE_FAN = hi.Hypergraph(6, [range(5), (0, 5), (1, 5)])
-# linear: a big edge before a 2-uniform triangle at higher ids
-EDGE_THEN_TRIANGLE = hi.Hypergraph(12, [range(9), (9, 10), (10, 11), (9, 11)])
-# linear, triangle-free: a big edge with a pendant edge at each vertex
-EDGE_PENDANTS = hi.Hypergraph(18, [range(9)] + [(v, 9 + v) for v in range(9)])
+EDGE_THEN_TRIANGLE = shape("edge_triangle", 9)
+EDGE_PENDANTS = shape("pendants", 9)
 # non-linear: the pendant shape with one edge repeating the pair {0, 1}
 PENDANTS_SHARED_PAIR = hi.Hypergraph(19, list(EDGE_PENDANTS.edges) + [(0, 1, 18)])
 # the same with a 2-uniform triangle after it
-PENDANTS_SHARED_PAIR_TRIANGLE = hi.Hypergraph(
-    22, list(PENDANTS_SHARED_PAIR.edges) + [(19, 20), (20, 21), (19, 21)]
-)
-# non-linear, triangle-free: the pendant shape, then a separate pair in two edges
-PENDANTS_SEPARATE_PAIR = hi.Hypergraph(21, list(EDGE_PENDANTS.edges) + [(18, 19, 20), (18, 19)])
+PENDANTS_SHARED_PAIR_TRIANGLE = shape("pair_triangle", 9)
+PENDANTS_SEPARATE_PAIR = shape("separate_pair", 9)
 # the same with pendant paths of length 2, which one round of peeling leaves
 PENDANT_PATHS_SEPARATE_PAIR = hi.Hypergraph(
     30,
@@ -49,8 +51,7 @@ PENDANT_PATHS_SEPARATE_PAIR = hi.Hypergraph(
     + [(9 + v, 18 + v) for v in range(9)]
     + [(27, 28, 29), (27, 28)],
 )
-# non-linear: a star whose hub is on no repeated pair, then a pair in two edges
-STAR_PAIR = hi.Hypergraph(14, [(0, k) for k in range(1, 11)] + [(11, 12, 13), (11, 12)])
+STAR_PAIR = shape("star_pair", 10)
 # the triangle (0, 1, 2) has every edge holding all three vertices
 TRIPLE_IN_THREE = hi.Hypergraph(6, [(0, 1, 2, 3), (0, 1, 2, 4), (0, 1, 2, 5)])
 K6 = hi.Hypergraph(6, combinations(range(6), 2))
