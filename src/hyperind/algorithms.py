@@ -90,9 +90,9 @@ class _Residual:
     denominators, so W[d] = w(d) * L is an int, and gain[d] =
     W[d - 1] - W[d] is what a vertex of degree d gains when it loses one
     edge.  deltas returns the exact step deltas times L as ints; only a
-    chosen step's delta becomes a Fraction.  deg[v] is v's live degree;
-    delete keeps it and inc in step, and drops the cached slots of every
-    vertex whose live edges it changes.
+    chosen step's delta becomes a Fraction.  deg[v] is v's live degree, 0
+    once v is deleted or released (left on no live edge); delete keeps it
+    and inc in step, and drops the cached slots of every vertex it touches.
     """
 
     def __init__(self, h: Hypergraph, r: int):
@@ -100,7 +100,7 @@ class _Residual:
 
         self.edges = h.edges
         self.r = r
-        self.inc = [set(h.incident_edges(v)) for v in range(h.n)]
+        self.inc = [set(ix) for ix in h._incident]
         self.deg = [len(s) for s in self.inc]
         self._slots: list[Optional[list[tuple[int, ...]]]] = [None] * h.n
         top = max(self.deg, default=0)
@@ -180,13 +180,18 @@ class _Residual:
                 deg[z] += 1
         return out
 
-    def delete(self, s: Iterable[int]) -> None:
+    def delete(self, s: set[int]) -> list[int]:
+        """Delete s's live edges; return, sorted, the others it releases."""
         inc, deg, slots = self.inc, self.deg, self._slots
+        freed = []
         for i in set().union(*(inc[v] for v in s)):
             for v in self.edges[i]:
                 inc[v].discard(i)
                 deg[v] -= 1
                 slots[v] = None
+                if not deg[v] and v not in s:
+                    freed.append(v)
+        return sorted(freed)
 
 
 def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCertificate:
@@ -222,33 +227,28 @@ def greedy_extract(h: Hypergraph, r: int, unsafe: bool = False) -> ExtractionCer
                 f"input has a triangle (vertices {twit['vertices']})"
             )
     res = _Residual(h, r)
-    alive = list(range(h.n))
     pot = guarantee
     steps: list[Step] = []
-    deg = res.deg
+    freed = [u for u in range(h.n) if not res.deg[u]]
     while True:
-        iso = next((u for u in alive if not deg[u]), None)
-        if iso is not None:
-            # the weight of an isolated vertex is exactly 1
-            delta, x, rset = 0, iso, ()
-        else:
-            # keep the first maximum in (x, slot index) order
-            best = None
-            for u in alive:
-                ds = res.deltas(u)
-                if ds:
-                    top = max(ds)
-                    if best is None or top > best[0]:
-                        best = (top, u, ds.index(top))
-            if best is None:
-                break
-            delta, x, j = best
-            rset = res.slots(x)[j]
+        for x in freed:  # an isolated vertex weighs exactly 1: delta 0
+            steps.append(Step(x, (), pot, pot - 1))
+            pot -= 1
+        # keep the first maximum in (x, slot index) order
+        best = None
+        for u in filter(res.deg.__getitem__, range(h.n)):
+            ds = res.deltas(u)
+            if ds:
+                top = max(ds)
+                if best is None or top > best[0]:
+                    best = (top, u, ds.index(top))
+        if best is None:
+            break
+        delta, x, j = best
+        rset = res.slots(x)[j]
         after = pot + Fraction(delta, res.scale) - 1
         steps.append(Step(x, rset, pot, after))
-        gone = {x, *rset}
-        res.delete(gone)
-        alive = [v for v in alive if v not in gone]
+        freed = res.delete({x, *rset})
         pot = after
     return ExtractionCertificate(
         independent_set=tuple(sorted(s.x for s in steps)),

@@ -9,6 +9,8 @@ package changes a Hypergraph after construction.
 
 from __future__ import annotations
 
+import operator
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable
 
 from . import _EXPORTS
@@ -35,6 +37,17 @@ _MAX_HG_VERTICES = 10**6
 _MAX_HG_ENTRIES = 10**7
 
 
+def _as_int(v: object) -> int:
+    """The rule for a vertex id or count: an integer that is not a bool,
+    returned as a plain int through operator.index; else InvalidVertex."""
+    if not isinstance(v, bool):
+        try:
+            return operator.index(v)
+        except TypeError:
+            pass
+    raise InvalidVertex(f"vertex id or count {v!r} is not an integer")
+
+
 class Hypergraph:
     """Immutable hypergraph: incidence built eagerly, neighbourhoods on first use.
 
@@ -50,15 +63,22 @@ class Hypergraph:
 
     Raises
     ------
-    InvalidVertex : some vertex id is not in [0, n)
+    InvalidVertex : n or some vertex id is not an integer (a bool is
+        not one; a NumPy integer is stored as a plain int), or n < 0, or
+        some vertex id is not in [0, n)
     EmptyEdge : some edge contains no vertices
     """
 
     __slots__ = ("n", "edges", "_incident", "_nbrs")
 
     def __init__(self, n: int, edges: Iterable[Iterable[int]]):
+        n = _as_int(n)
         if n < 0:
             raise InvalidVertex(f"vertex count must be non-negative, got {n}")
+        edges = [tuple(e) for e in edges]
+        # one type pass over every entry, before any dedup can hide one
+        if {*map(type, chain.from_iterable(edges))} != {int}:
+            edges = [tuple(map(_as_int, e)) for e in edges]
         canon = set()
         for e in edges:
             tup = tuple(sorted(set(e)))
@@ -83,7 +103,7 @@ class Hypergraph:
         return len(self.edges)
 
     def _check_vertex(self, u: int) -> None:
-        if not 0 <= u < self.n:
+        if not 0 <= _as_int(u) < self.n:
             raise InvalidVertex(f"vertex {u} outside range [0, {self.n})")
 
     def degree(self, u: int) -> int:

@@ -27,7 +27,8 @@ class BadArgument(HyperindError, ValueError):
 
 
 class InvalidVertex(HyperindError):
-    """A vertex id falls outside the vertex range of the hypergraph."""
+    """A vertex id or count breaks the rule: an integer, not a bool, with
+    an id in [0, n) and a count n >= 0."""
 
 
 class EmptyEdge(HyperindError):

@@ -7,7 +7,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hyperind as hi
 from hyperind.algorithms import _Residual
@@ -24,6 +24,15 @@ from test_golden_certificates import first_complete
 
 LOOSE = hi.Hypergraph(5, [(0, 1, 2), (2, 3, 4)])
 SINGLE = hi.Hypergraph(3, [(0, 1, 2)])
+
+# the greedy's first step keeps 1 with slot (2,) and releases 3, 5, 6
+# and 8 at once, on both sides of the still-live 4 and 7; they must be
+# taken in ascending order, whatever order delete meets them in
+RELEASE = hi.Hypergraph(9, [(0, 4, 7), (1, 2, 7), (2, 3, 6), (2, 5, 8)])
+# the same, relabelled around 1, 5 and 10, which are isolated at the start
+START = hi.Hypergraph(12, [(0, 6, 9), (2, 3, 9), (3, 4, 8), (3, 7, 11)])
+# the same with a one-vertex edge on 4, still live when the run stops
+UNIT = hi.Hypergraph(10, [(0, 5, 8), (1, 2, 8), (2, 3, 7), (2, 6, 9), (4,)])
 
 
 # --- candidate deltas -------------------------------------------------------
@@ -262,6 +271,9 @@ def test_greedy_unsafe_result_is_independent(h, r):
 
 @settings(max_examples=150, deadline=None)
 @given(raw_hypergraphs(), st.sampled_from((2, 3, 4, 5, 40)))
+@example(RELEASE, 3)
+@example(START, 3)
+@example(UNIT, 3)
 def test_greedy_unsafe_matches_reference_oracle(h, r):
     # a vertex's cached slots must be rebuilt whenever a step deletes
     # one of its live edges, also on short, long and overlapping edges;
@@ -277,6 +289,8 @@ def test_greedy_deterministic():
 
 @settings(max_examples=25, deadline=None)
 @given(instances(n_max=18))
+@example((RELEASE, 3))
+@example((START, 3))
 def test_greedy_matches_reference_oracle(hr):
     h, r = hr
     cert = hi.greedy_extract(h, r)
@@ -469,3 +483,7 @@ def test_verify_independent():
     assert hi.verify_independent(LOOSE, []) == (True, None)
     with pytest.raises(InvalidVertex):
         hi.verify_independent(SINGLE, [3])
+    # the vertex-id rule of Hypergraph, not a range test alone
+    for bad in ([0, 1, 1.5], [0, True], [None], ["1"]):
+        with pytest.raises(InvalidVertex):
+            hi.verify_independent(hi.loose_path(1, 3), bad)

@@ -38,6 +38,39 @@ def test_vertex_out_of_range():
         hi.Hypergraph(3, [(-1, 0)])
     with pytest.raises(InvalidVertex):
         hi.Hypergraph(-1, [])
+    # one rule for ids and n: an integer that is not a bool, else
+    # InvalidVertex, also where a dedup would have hidden the entry
+    for n, edges in [
+        (3, [(True, 2)]),
+        (3, [(1, True)]),
+        (3, [(0, 1.0, 2)]),
+        (3, [(2, 2.0)]),
+        (3, [("1", 2)]),
+        (3, [(0, None)]),
+        (True, []),
+        (3.0, [(0, 1)]),
+        ("3", []),
+    ]:
+        with pytest.raises(InvalidVertex):
+            hi.Hypergraph(n, edges)
+
+
+def test_index_ids_stored_as_int():
+    # anything operator.index accepts (a NumPy integer, say) is stored
+    # as a plain int, so format_hg writes what parse_hg reads
+    class Idx:
+        def __init__(self, v):
+            self.v = v
+
+        def __index__(self):
+            return self.v
+
+    h = hi.Hypergraph(Idx(4), [(Idx(3), 0, Idx(1)), iter([2, Idx(0)])])
+    assert h == hi.Hypergraph(4, [(0, 1, 3), (0, 2)])
+    assert type(h.n) is int
+    assert all(type(v) is int for e in h.edges for v in e)
+    assert hi.parse_hg(hi.format_hg(h)) == h
+    assert h.degree(Idx(0)) == 2
 
 
 def test_empty_edge_rejected():
