@@ -113,31 +113,26 @@ class _Residual:
         """Slots of x, as sorted tuples, that each meet every live edge
         through x.
 
-        The j-th smallest vertex of each live edge through x (minus x)
-        goes to slot j, and the last one fills the slots a short edge
-        leaves over.  On r-uniform linear input the r - 1 slots are
-        disjoint, each has one vertex per live edge through x, and
-        together they cover x's live neighbourhood.  A vertex on a live
-        one-vertex edge has no slots, so it is never kept.
-        Only min(r, k) - 1 slots are built, k the longest live edge
-        through x: any later slot would repeat the last one, and the
-        first-maximum rule never picks a repeat.
+        Each live edge through x gives the list of its other vertices,
+        ascending.  Slot j is the sorted set of each list's j-th vertex,
+        or its last one when the list is shorter, for j < min(r, k) - 1,
+        k the longest live edge through x: any later slot would repeat
+        the last one, and the first-maximum rule never picks a repeat.
+        On r-uniform linear input the r - 1 slots are disjoint, each has
+        one vertex per live edge through x, and together they cover x's
+        live neighbourhood.  x has no slots when one of the lists is
+        empty, so a vertex on a live one-vertex edge is never kept.
         The slots depend on x's live edges only, so they are kept until
         delete removes one of them.
         """
         slots = self._slots[x]
         if slots is None:
-            edges = self.edges
-            longest = max((len(edges[i]) for i in self.inc[x]), default=0)
-            sets = [set() for _ in range(min(self.r, longest) - 1)]
-            for i in self.inc[x]:
-                rest = [v for v in edges[i] if v != x]
-                if not rest:
-                    sets = []
-                    break
-                for j, slot in enumerate(sets):
-                    slot.add(rest[min(j, len(rest) - 1)])
-            slots = self._slots[x] = [tuple(sorted(s)) for s in sets]
+            rests = [[v for v in self.edges[i] if v != x] for i in self.inc[x]]
+            count = min(self.r - 1, max(map(len, rests), default=0))
+            slots = self._slots[x] = [
+                tuple(sorted({rest[min(j, len(rest) - 1)] for rest in rests}))
+                for j in range(count if all(rests) else 0)
+            ]
         return slots
 
     def deltas(self, x: int) -> list[int]:
@@ -300,16 +295,17 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
     edges.  Only inclusions make units and only exclusions make leaves,
     so this finds the same rule in the same order as a full scan would.
 
-    One pass over the live-edge list then drops the edges that hold an
-    excluded vertex and puts each undecided part into a bucket by its
-    size.  The search packs parts that are pairwise disjoint, greedily,
-    smallest size first and in index order within a size; each packed
-    edge forces one more exclusion, so a node is pruned when |included|
-    + |undecided| - packed <= best.  Such a subtree cannot beat the
-    incumbent, so the bound saves nodes without changing which sets
-    become incumbents.  A node that survives branches include/exclude on
-    the undecided vertex of highest live degree over the parts in the
-    smallest bucket, lowest id on ties.  When no edge is live, all
+    The node then drops from its live-edge list the edges that hold an
+    excluded vertex and sorts the undecided parts of the rest once,
+    stably, by size: smallest first, and in index order within a size.
+    Walking that list, the search packs each part disjoint from the
+    parts packed before it; each packed part forces one more exclusion,
+    so a node is pruned as soon as |included| + |undecided| - packed <=
+    best.  Such a subtree cannot beat the incumbent, so the bound saves
+    nodes without changing which sets become incumbents.  A node that
+    survives branches include/exclude on the undecided vertex of highest
+    live degree over the list's prefix of smallest parts, lowest id on
+    ties.  When no edge is live, all
     undecided vertices are taken at once.  Exploration is exclude-first
     so a good incumbent appears on the first descent: a node pushes its
     include child, which shares its live-edge list, and becomes its
@@ -348,7 +344,6 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
         for v in e:
             near[v] |= em
     full = (1 << n) - 1
-    sizes = range(max(map(len, h.edges), default=0) + 1)
     best = 0
     best_mask = 0
     nodes = 0
@@ -394,28 +389,24 @@ def exact_alpha(h: Hypergraph, budget: Optional[int] = None) -> AlphaResult:
             if not live:  # every edge has an excluded vertex: take all
                 best, best_mask = best + room, und | inc
                 break
-            by_size = [[] for _ in sizes]  # undecided parts by size
-            kept = []  # lm without the edges that hold an excluded vertex
             excluded = full ^ (und | inc)
-            for em in lm:
-                if not em & excluded:
-                    kept.append(em)
-                    eu = em & und
-                    by_size[eu.bit_count()].append(eu)
-            lm = kept
+            lm = [em for em in lm if not em & excluded]
+            # stable: smallest first, index order within a size
+            parts = sorted([em & und for em in lm], key=int.bit_count)
             packed = 0
-            for bucket in by_size:  # smallest first, index order within
-                for eu in bucket:
-                    if not eu & packed:
-                        # disjoint from the packing: one more forced exclusion
-                        packed |= eu
-                        room -= 1
-                if room <= 0:
-                    break
-            if room <= 0:
+            for eu in parts:
+                if not eu & packed:
+                    # disjoint from the packing: one more forced exclusion
+                    packed |= eu
+                    room -= 1
+                    if not room:
+                        break
+            if not room:
                 break
             pick_eu = 0  # branch inside the smallest live edges
-            for eu in next(filter(None, by_size)):
+            for eu in parts:
+                if eu.bit_count() > parts[0].bit_count():
+                    break
                 pick_eu |= eu
             v_pick, v_deg = -1, -1
             mm = pick_eu

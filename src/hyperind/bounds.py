@@ -46,7 +46,7 @@ from fractions import Fraction
 from typing import NamedTuple, Union
 
 from . import _EXPORTS
-from .core import Hypergraph
+from .core import Hypergraph, _int_or_none
 from .errors import (
     BadArgument,
     BadUniformity,
@@ -60,14 +60,18 @@ __all__ = list(_EXPORTS["bounds"])
 Real = Union[int, float, Fraction]
 
 
-def _check_r(r: int) -> None:
-    if not isinstance(r, int) or r < 2:
+def _check_r(r: int) -> int:
+    ri = _int_or_none(r)
+    if ri is None or ri < 2:
         raise BadUniformity(f"uniformity must be an integer >= 2, got {r!r}")
+    return ri
 
 
-def _check_d(d: int) -> None:
-    if not isinstance(d, int) or d < 0:
+def _check_d(d: int) -> int:
+    di = _int_or_none(d)
+    if di is None or di < 0:
         raise NegativeDegree(f"degree must be a non-negative integer, got {d!r}")
+    return di
 
 
 def _as_float(name: str, v: Real) -> float:
@@ -106,8 +110,8 @@ def potential_weight(r: int, d: int) -> Fraction:
     the degree sequence of an r-uniform linear triangle-free hypergraph
     lower-bounds the independence number.
     """
-    _check_r(r)
-    _check_d(d)
+    r = _check_r(r)
+    d = _check_d(d)
     vals = _WEIGHT_CACHE.setdefault(r, [Fraction(1)])
     while len(vals) <= d:
         k = len(vals)
@@ -121,8 +125,8 @@ def caro_tuza(r: int, d: int) -> Fraction:
 
     Equals the inverse generalized binomial coefficient C(d + 1/(r-1), d)^-1.
     """
-    _check_r(r)
-    _check_d(d)
+    r = _check_r(r)
+    d = _check_d(d)
     vals = _CT_CACHE.setdefault(r, [Fraction(1)])
     while len(vals) <= d:
         k = len(vals)
@@ -146,8 +150,8 @@ def convexity_minorant(r: int, d: int) -> Fraction:
     Lies below potential_weight(r, .) for all d >= 0 and certifies its
     convexity; equals 3/5 at d = 0 for every r.
     """
-    _check_r(r)
-    _check_d(d)
+    r = _check_r(r)
+    d = _check_d(d)
     return Fraction((2 * r - 1) * d + 3 * r, r * (d * d + 5 * d + 5))
 
 
@@ -223,9 +227,11 @@ def li_zang(r: int, m: int, x: Real) -> float:
     the module docstring).  It raises NonConvergent after _MAX_SPLITS
     splits or once that panel can no longer be split in float arithmetic.
     """
-    _check_r(r)
-    if not isinstance(m, int) or m < 1:
+    r = _check_r(r)
+    mi = _int_or_none(m)
+    if mi is None or mi < 1:
         raise BadArgument(f"m must be an integer >= 1, got {m!r}")
+    m = mi
     xf = _check_x(x)
     rm1 = r - 1
     # float + float in the nodes' denominators: int + float converts the
@@ -371,7 +377,7 @@ def chishti(r: int, x: Real) -> float:
     NegativeDegree, an x or r - 1 too large for a float ValueError, and
     x = 0 gives exactly 1.0.
     """
-    _check_r(r)
+    r = _check_r(r)
     xf = _check_x(x)
     rm1 = r - 1
     a = 1.0 / _as_float("r - 1", rm1)
@@ -406,7 +412,7 @@ def potential(h: Hypergraph, r: int) -> Fraction:
     independence number; it is the guarantee the greedy extractor
     certifies.
     """
-    _check_r(r)
+    r = _check_r(r)
     return sum(
         (count * potential_weight(r, d) for d, count in h.degree_histogram().items()),
         start=Fraction(0),
@@ -415,7 +421,7 @@ def potential(h: Hypergraph, r: int) -> Fraction:
 
 def caro_tuza_total(h: Hypergraph, r: int) -> Fraction:
     """Sum of caro_tuza(r, degree(u)) over all vertices, exact."""
-    _check_r(r)
+    r = _check_r(r)
     return sum(
         (count * caro_tuza(r, d) for d, count in h.degree_histogram().items()),
         start=Fraction(0),
@@ -427,7 +433,7 @@ def chishti_bound(h: Hypergraph, r: int) -> float:
 
     Raises EmptyHypergraph for n = 0.
     """
-    _check_r(r)
+    r = _check_r(r)
     if h.n == 0:
         raise EmptyHypergraph("bound needs at least one vertex")
     return h.n * chishti(r, h.average_degree())
@@ -467,8 +473,8 @@ def bound_table(
     are computed on the calling thread, since a two-thread pool was
     measured slower than one thread.
     """
-    _check_r(r)
-    _check_d(d_max)
+    r = _check_r(r)
+    d_max = _check_d(d_max)
     return [
         TableRow(
             d=d,

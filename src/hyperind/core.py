@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import operator
 from itertools import chain
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from . import _EXPORTS
 from .errors import EmptyEdge, EmptyHypergraph, HgFormatError, InvalidVertex
@@ -37,15 +37,24 @@ _MAX_HG_VERTICES = 10**6
 _MAX_HG_ENTRIES = 10**7
 
 
-def _as_int(v: object) -> int:
-    """The rule for a vertex id or count: an integer that is not a bool,
-    returned as a plain int through operator.index; else InvalidVertex."""
+def _int_or_none(v: object) -> Optional[int]:
+    """The package's rule for an integer argument (a vertex id, a count,
+    a degree, r, m or a seed): an integer that is not a bool, returned
+    as a plain int through operator.index; None for anything else."""
     if not isinstance(v, bool):
         try:
             return operator.index(v)
         except TypeError:
             pass
-    raise InvalidVertex(f"vertex id or count {v!r} is not an integer")
+    return None
+
+
+def _as_int(v: object) -> int:
+    """A vertex id or count by _int_or_none's rule; else InvalidVertex."""
+    i = _int_or_none(v)
+    if i is None:
+        raise InvalidVertex(f"vertex id or count {v!r} is not an integer")
+    return i
 
 
 class Hypergraph:

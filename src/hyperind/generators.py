@@ -27,7 +27,13 @@ from math import ceil, comb, exp, lgamma, log
 from typing import NamedTuple
 
 from . import _EXPORTS
-from .core import _MAX_HG_ENTRIES, _MAX_HG_VERTICES, FAMILIES, Hypergraph
+from .core import (
+    _MAX_HG_ENTRIES,
+    _MAX_HG_VERTICES,
+    FAMILIES,
+    Hypergraph,
+    _int_or_none,
+)
 from .errors import BadSpec
 
 __all__ = list(_EXPORTS["generators"])
@@ -106,15 +112,34 @@ class InstanceSpec(NamedTuple):
         return json.dumps(self._asdict())
 
 
-def _validate(spec: InstanceSpec) -> None:
+def _spec_int(v: object, name: str) -> int:
+    """v as a plain int by the package's integer rule, else BadSpec."""
+    i = _int_or_none(v)
+    if i is None:
+        raise BadSpec(f"{name} must be an integer, got {v!r}")
+    return i
+
+
+def _spec_r(r: object) -> int:
+    r = _spec_int(r, "uniformity")
+    if r < 2:
+        raise BadSpec(f"uniformity must be at least 2, got {r}")
+    return r
+
+
+def _validate(spec: InstanceSpec) -> InstanceSpec:
+    """spec with r, m, seed and, for random, n as plain ints; else BadSpec."""
     if spec.family not in FAMILIES:
         raise BadSpec(f"unknown family {spec.family!r}, expected one of {FAMILIES}")
-    if spec.r < 2:
-        raise BadSpec(f"uniformity must be at least 2, got {spec.r}")
-    if spec.m < 0:
-        raise BadSpec(f"edge target must be non-negative, got {spec.m}")
-    if spec.seed < 0:
-        raise BadSpec(f"seed must be non-negative, got {spec.seed}")
+    r = _spec_r(spec.r)
+    m = _spec_int(spec.m, "edge target")
+    if m < 0:
+        raise BadSpec(f"edge target must be non-negative, got {m}")
+    seed = _spec_int(spec.seed, "seed")
+    if seed < 0:
+        raise BadSpec(f"seed must be non-negative, got {seed}")
+    n = _spec_int(spec.n, "vertex count") if spec.family == "random" else spec.n
+    return spec._replace(n=n, r=r, m=m, seed=seed)
 
 
 def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
@@ -133,7 +158,7 @@ def random_linear_triangle_free(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     edge target, n < r (no candidate exists) and C(n, r) > 2^64 (a
     64-bit draw cannot reach every r-subset).
     """
-    _validate(spec)
+    spec = _validate(spec)
     n, r, m_target = spec.n, spec.r, spec.m
     if n < 0:
         raise BadSpec(f"vertex count must be non-negative, got {n}")
@@ -190,10 +215,10 @@ def loose_path(k: int, r: int) -> Hypergraph:
 
     n = k(r-1) + 1 vertices; edge i covers i(r-1) .. i(r-1)+r-1.
     """
+    k = _spec_int(k, "edge count")
     if k < 1:
         raise BadSpec(f"path needs at least one edge, got k={k}")
-    if r < 2:
-        raise BadSpec(f"uniformity must be at least 2, got {r}")
+    r = _spec_r(r)
     edges = [tuple(range(i * (r - 1), i * (r - 1) + r)) for i in range(k)]
     return Hypergraph(k * (r - 1) + 1, edges)
 
@@ -205,10 +230,10 @@ def loose_cycle(k: int, r: int) -> Hypergraph:
     form a triangle; for k >= 4 non-consecutive edges are disjoint, so
     the cycle is triangle-free.
     """
+    k = _spec_int(k, "edge count")
     if k < 3:
         raise BadSpec(f"cycle needs at least three edges, got k={k}")
-    if r < 2:
-        raise BadSpec(f"uniformity must be at least 2, got {r}")
+    r = _spec_r(r)
     n = k * (r - 1)
     edges = [
         tuple(range(i * (r - 1), i * (r - 1) + r - 1)) + ((i + 1) * (r - 1) % n,)
@@ -219,10 +244,10 @@ def loose_cycle(k: int, r: int) -> Hypergraph:
 
 def matching(k: int, r: int) -> Hypergraph:
     """k pairwise disjoint edges; n = k*r vertices."""
+    k = _spec_int(k, "edge count")
     if k < 1:
         raise BadSpec(f"matching needs at least one edge, got k={k}")
-    if r < 2:
-        raise BadSpec(f"uniformity must be at least 2, got {r}")
+    r = _spec_r(r)
     edges = [tuple(range(i * r, i * r + r)) for i in range(k)]
     return Hypergraph(k * r, edges)
 
@@ -256,7 +281,7 @@ def generate(spec: InstanceSpec) -> tuple[Hypergraph, bool]:
     text parse_hg would refuse: more than 10^6 vertices, or m edges of r
     vertices with m r (r - 1) above 10^7 (the edge target, for random).
     """
-    _validate(spec)
+    spec = _validate(spec)
     if spec.family != "fano":  # 7 vertices and 42 entries, whatever the spec
         k, r = spec.m, spec.r
         n = {

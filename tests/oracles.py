@@ -9,8 +9,7 @@ search-order oracle
 reference_exact_alpha pushes both children of every node and finds each
 live edge by peeling the lowest bit of a live-edge index mask instead of
 walking a per-node list of edge masks and descending into the exclude
-child in place, and orders the edges it packs by a stable sort on their
-undecided size instead of one bucket per size, the predicate oracles
+child in place, the predicate oracles
 use cubic brute-force loops over plain edge lists instead of the
 package's incidence index and neighbour-set intersections, find the
 linearity, triangle and double-linearity witnesses by early-exit

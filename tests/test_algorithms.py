@@ -117,16 +117,30 @@ def test_max_candidate_delta_non_negative(hr):
     assert max(d for _, _, _, d in cands) >= 0
 
 
-@settings(max_examples=60, deadline=None)
-@given(instances())
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        instances(), st.tuples(raw_hypergraphs(), st.sampled_from((2, 3, 4, 7)))
+    )
+)
+# 0 lies on a one-vertex edge beside a longer one: it has no slots
+@example((hi.Hypergraph(3, [(0,), (0, 1, 2)]), 3))
+# 0's longest edge has 3 < r vertices: two slots, counted from that
+# edge and not from the shorter one
+@example((hi.Hypergraph(4, [(0, 1), (0, 2, 3)]), 4))
 def test_greedy_slots_match_reference_slots(hr):
-    # the greedy's slots, on all edges live, are the oracle's
+    # the greedy's slots, on all edges live, are the first min(r, k) - 1
+    # of the oracle's r - 1, k the longest edge through x, and the
+    # oracle's later slots repeat its last; on r-uniform input k = r
     h, r = hr
     res = _Residual(h, r)
     for x in range(h.n):
         if h.degree(x):
             want = [tuple(sorted(s)) for s in reference_slots(h.edges, x, r)]
-            assert res.slots(x) == want
+            k = max(len(h.edges[i]) for i in h.incident_edges(x))
+            built = min(r, k) - 1
+            assert res.slots(x) == want[:built]
+            assert all(s == want[built - 1] for s in want[built:])
 
 
 # --- greedy extraction ------------------------------------------------------

@@ -132,6 +132,25 @@ def test_domain_errors():
             fn(3, -1)
     with pytest.raises(NegativeDegree):
         hi.potential_weight(2, -2)
+    # r, d and m are integers that are not bools, taken through
+    # operator.index as the Hypergraph constructor takes vertex ids;
+    # each refusal keeps its class and its message
+    for fn in (hi.potential_weight, hi.caro_tuza, hi.convexity_minorant):
+        for bad in (True, False, 2.0, "3"):
+            with pytest.raises(
+                NegativeDegree, match=f"non-negative integer, got {bad!r}$"
+            ):
+                fn(3, bad)
+            with pytest.raises(BadUniformity, match=f">= 2, got {bad!r}$"):
+                fn(bad, 2)
+        assert fn(np.int64(3), np.int64(2)) == fn(3, 2)
+    with pytest.raises(ValueError, match="m must be an integer >= 1, got True$"):
+        hi.li_zang(3, True, 2.0)
+    assert hi.li_zang(np.int64(3), np.int64(2), 2.0) == hi.li_zang(3, 2, 2.0)
+    with pytest.raises(NegativeDegree):
+        hi.bound_table(3, True)
+    assert hi.bound_table(3, np.int64(2)) == hi.bound_table(3, 2)
+    assert hi.potential(LOOSE, np.int64(3)) == hi.potential(LOOSE, 3)
 
 
 # --- quadrature -------------------------------------------------------------

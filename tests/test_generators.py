@@ -7,6 +7,7 @@ from collections import Counter
 from itertools import combinations, count
 from math import ceil, comb, log2
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -258,6 +259,27 @@ def test_bad_specs():
     ):
         with pytest.raises(BadSpec, match=message):
             hi.generate(hi.InstanceSpec(family, n=n, r=r, m=m))
+    # every size and the seed follow the package's integer rule: an
+    # integer that is not a bool, taken through operator.index
+    for field, bad in (
+        ("r", 3.5),
+        ("m", 4.0),
+        ("m", True),
+        ("seed", 1.5),
+        ("seed", False),
+        ("n", 9.0),
+        ("n", True),
+    ):
+        spec = hi.InstanceSpec("random", n=9, r=3, m=4)._replace(**{field: bad})
+        with pytest.raises(BadSpec, match=f"must be an integer, got {bad!r}$"):
+            hi.generate(spec)
+        with pytest.raises(BadSpec, match=f"must be an integer, got {bad!r}$"):
+            hi.random_linear_triangle_free(spec)
+    with pytest.raises(BadSpec, match="uniformity must be an integer"):
+        hi.generate(hi.InstanceSpec("loose_path", n=0, r=True, m=2))
+    spec = hi.InstanceSpec("random", n=9, r=3, m=4, seed=1)
+    wide = hi.InstanceSpec("random", *(np.int64(v) for v in spec[1:]))
+    assert hi.generate(wide) == hi.generate(spec)
 
 
 def test_candidate_space_beyond_64_bits_is_refused():
@@ -359,6 +381,16 @@ def test_family_constructor_errors():
         hi.matching(0, 3)
     with pytest.raises(BadSpec):
         hi.matching(2, 1)
+    for build in (hi.loose_path, hi.loose_cycle, hi.matching):
+        for k, r, bad in (
+            (2.0, 3, 2.0),
+            (True, 3, True),
+            (4, 3.0, 3.0),
+            (4, True, True),
+        ):
+            with pytest.raises(BadSpec, match=f"must be an integer, got {bad!r}$"):
+                build(k, r)
+        assert build(np.int64(4), np.int64(3)) == build(4, 3)
 
 
 def test_generate_dispatch():
